@@ -93,11 +93,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  const bool chatty =
-      (delivery != DeliveryStrategy::Tcp &&
-       delivery != DeliveryStrategy::Shm) ||
-      (delivery == DeliveryStrategy::Tcp ? tcp_base.tcp_rank
-                                         : tcp_base.shm_rank) == 0;
+  const bool chatty = (delivery != DeliveryStrategy::Tcp &&
+                       delivery != DeliveryStrategy::Shm) ||
+                      tcp_base.rank == 0;
   const auto retries =
       static_cast<std::size_t>(args.get_int("retries", 0));
   const auto checkpoint_every =

@@ -64,14 +64,13 @@ void ExchangeEngine::attach(int pid, int nprocs) {
   outbox_.reserve(static_cast<std::size_t>(nprocs));
   for (int d = 0; d < nprocs; ++d) outbox_.emplace_back(pool_);
   inbox_arena_.release_slabs();
-  split_active_ = false;
-  split_done_ = false;
-  shm_pairs_.assign(static_cast<std::size_t>(nprocs), nullptr);
-  is_shm_ = false;
+  // Each pair's data path is chosen once, here: the mesh's shared-memory
+  // rings when it has them, else the stream fd itself.
+  links_.assign(static_cast<std::size_t>(nprocs), Link{});
   for (int j = 0; j < nprocs; ++j) {
     if (j == pid) continue;
-    shm_pairs_[static_cast<std::size_t>(j)] = mesh_->shm_pair(pid, j);
-    if (shm_pairs_[static_cast<std::size_t>(j)] != nullptr) is_shm_ = true;
+    links_[static_cast<std::size_t>(j)] =
+        Link{mesh_->fd(pid, j), mesh_->shm_pair(pid, j)};
   }
   // An attach follows a fresh mesh build, whose segments' counters start at
   // zero — the zero-copy epoch restarts with them.
@@ -84,11 +83,6 @@ void ExchangeEngine::attach(int pid, int nprocs) {
 void ExchangeEngine::reset_for_reuse() {
   for (MessageArena& ob : outbox_) ob.release_slabs();
   inbox_arena_.release_slabs();
-  // Defensive: a clean run always closes its windows, but stale split flags
-  // from a run that never reached its sync_end() would make the first
-  // begin_window() of the new run resume a dead stage.
-  split_active_ = false;
-  split_done_ = false;
   // Staged-but-undelivered descriptor frames die with their outbox arenas.
   // boundary_count_ deliberately survives: the mesh and its segments persist
   // across clean-run reuse, and the new run's first zero-copy epoch must not
@@ -116,7 +110,7 @@ std::byte* ExchangeEngine::reserve(WorkerState& st, int dest, std::size_t n) {
         /*err=*/0, /*bytes_moved=*/0);
   }
   const std::size_t d = static_cast<std::size_t>(dest);
-  if (is_shm_ && dest != pid_ && cfg_->shm_slab_bytes != 0 &&
+  if (links_[d].ring != nullptr && cfg_->shm_slab_bytes != 0 &&
       n >= cfg_->shm_inline_threshold) {
     if (std::byte* slot = try_reserve_zc(st, dest, n)) return slot;
   }
@@ -128,8 +122,7 @@ std::byte* ExchangeEngine::reserve(WorkerState& st, int dest, std::size_t n) {
 
 std::byte* ExchangeEngine::try_reserve_zc(WorkerState& st, int dest,
                                           std::size_t n) {
-  ShmPairView* pv = shm_pairs_[static_cast<std::size_t>(dest)];
-  if (pv == nullptr) return nullptr;
+  ShmPairView* pv = links_[static_cast<std::size_t>(dest)].ring;
   const std::size_t half_cap = pv->send.slab_cap / 2;
   // Every slab slot is 16-byte aligned (the arena's own out-of-line
   // guarantee) and whole within one epoch half.
@@ -172,19 +165,17 @@ void ExchangeEngine::open_boundary(WorkerState& dst) {
   dst.inbox.clear();
   dst.inbox_cursor = 0;
   inbox_arena_.release_slabs();  // last superstep's views are dead now
-  if (is_shm_) {
-    // Opening boundary b invalidates the views delivered at boundary b-1;
-    // publishing the count is what lets each peer recycle the slab half
-    // those views aliased (the zero-copy epoch feedback channel).
-    ++boundary_count_;
-    for (ShmPairView* pv : shm_pairs_) {
-      if (pv != nullptr) {
-        pv->recv.ctl->boundaries_opened.store(boundary_count_,
-                                              std::memory_order_release);
-      }
+  // Opening boundary b invalidates the views delivered at boundary b-1;
+  // publishing the count to every ring peer is what lets it recycle the slab
+  // half those views aliased (the zero-copy epoch feedback channel).
+  ++boundary_count_;
+  for (const Link& l : links_) {
+    if (l.ring != nullptr) {
+      l.ring->recv.ctl->boundaries_opened.store(boundary_count_,
+                                                std::memory_order_release);
     }
-    zc_in_.clear();  // defensive: an unwound publish must not leak fixups
   }
+  zc_in_.clear();  // defensive: an unwound publish must not leak fixups
   // Stage 0 of the schedule: self-delivery moves whole slabs, no wire.
   inbox_arena_.splice_from(outbox_[static_cast<std::size_t>(dst.pid)]);
 }
@@ -195,7 +186,7 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
     Message& m = dst.inbox[z.ordinal];
     ShmZcDesc desc;
     std::memcpy(&desc, m.payload.data(), sizeof(desc));
-    ShmPairView* pv = shm_pairs_[static_cast<std::size_t>(z.src)];
+    ShmPairView* pv = links_[static_cast<std::size_t>(z.src)].ring;
     // A descriptor is peer-controlled input; validate before aliasing the
     // mapping, exactly like the wire headers it rode in with.
     if (pv == nullptr || desc.len > cfg_->socket_max_frame_bytes ||
@@ -235,7 +226,7 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   ss.send_pre.payload_bytes = ob.payload_bytes();
   // Pack the header block; payloads are NOT serialized — the iovec below
   // points sendmsg straight at the staging arena's slabs, so the payload
-  // section leaves the process from the memory stage_send wrote it to.
+  // section leaves the process from the memory the sender wrote it to.
   hdr_out_.clear();
   hdr_out_.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
   // zc_out_ holds the arena ordinals (ascending, by construction) of frames
@@ -277,7 +268,7 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
 }
 
 std::optional<FaultInjector::Decision> ExchangeEngine::syscall_fault(
-    WorkerState& st, const StageState& ss, FaultSite site, int fd, int peer,
+    WorkerState& st, const StageState& ss, FaultSite site, int peer,
     std::uint64_t moved) {
   FaultInjector* inj = injector();
   if (inj == nullptr) return std::nullopt;
@@ -296,8 +287,8 @@ std::optional<FaultInjector::Decision> ExchangeEngine::syscall_fault(
     case FaultKind::PeerHangup:
       // Shut down our end of the stream: the peer observes EOF and we
       // observe EPIPE/EOF on the next real call — a bidirectional death.
-      ::shutdown(fd, SHUT_RDWR);
-      if (is_shm_) {
+      ::shutdown(links_[static_cast<std::size_t>(peer)].fd, SHUT_RDWR);
+      if (links_[static_cast<std::size_t>(peer)].ring != nullptr) {
         // The shm data path is memory, so a severed control channel is only
         // noticed on the idle path — which a busy run may never reach. Fail
         // here, deterministically, like the socket backends' next I/O would.
@@ -331,11 +322,65 @@ void ExchangeEngine::maybe_corrupt(WorkerState& st, const StageState& ss,
   }
 }
 
+ssize_t ExchangeEngine::link_write(WorkerState& st, const StageState& ss,
+                                   int peer, const iovec* iov,
+                                   std::size_t cnt) {
+  const Link& l = links_[static_cast<std::size_t>(peer)];
+  if (l.ring != nullptr) {
+    // The same sectioned iovec list streams into the pair's SPSC ring with
+    // plain memcpy; a full ring is the EAGAIN analogue. No syscall happens,
+    // so wire_syscalls stays untouched — that IS the shm headline metric.
+    return static_cast<ssize_t>(shm_ring_write(
+        l.ring->send, iov, cnt, std::numeric_limits<std::size_t>::max()));
+  }
+  msghdr mh{};
+  mh.msg_iov = const_cast<iovec*>(iov);
+  mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(cnt);
+  const ssize_t n = ::sendmsg(l.fd, &mh, MSG_NOSIGNAL);
+  if (n > 0) {
+    // Counts only calls that moved bytes: idle EAGAIN probes are a property
+    // of the waiting policy, not of the wire format's syscall economy, and
+    // would make the metric timing-dependent.
+    ++st.wire_syscalls;
+    return n;
+  }
+  if (n < 0 && errno == EINTR) return -1;
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+  throw BspTransportError(
+      "stage send failed (peer dead?)", st.pid, peer,
+      static_cast<std::int64_t>(st.superstep), ss.k, errno, ss.send_moved);
+}
+
+ssize_t ExchangeEngine::link_read(WorkerState& st, const StageState& ss,
+                                  int src, const iovec* iov, std::size_t cnt) {
+  const Link& l = links_[static_cast<std::size_t>(src)];
+  if (l.ring != nullptr) {
+    // Drain the pair's SPSC ring with plain memcpy; an empty ring is the
+    // EAGAIN analogue (peer death surfaces on the idle path via the control
+    // channel, not here). No syscall, no wire_syscalls.
+    return static_cast<ssize_t>(shm_ring_read_iov(
+        l.ring->recv, iov, cnt, std::numeric_limits<std::size_t>::max()));
+  }
+  const ssize_t n = ::readv(l.fd, iov, static_cast<int>(cnt));
+  if (n > 0) {
+    ++st.wire_syscalls;  // like the send side: only calls that moved bytes
+    return n;
+  }
+  if (n == 0) {
+    throw BspTransportError(
+        "peer closed its endpoint mid-stage (peer death)", st.pid, src,
+        static_cast<std::int64_t>(st.superstep), ss.k, /*err=*/0,
+        ss.recv_moved);
+  }
+  if (errno == EINTR) return -1;
+  if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+  throw BspTransportError("stage recv failed", st.pid, src,
+                          static_cast<std::int64_t>(st.superstep), ss.k, errno,
+                          ss.recv_moved);
+}
+
 std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
   const int peer = send_peer(ss);
-  const int fd = mesh_->fd(pid_, peer);
-  ShmPairView* pv =
-      is_shm_ ? shm_pairs_[static_cast<std::size_t>(peer)] : nullptr;
   std::size_t moved = 0;
   while (!ss.send_done) {
     if (ss.send_idx == send_iov_.size()) {
@@ -346,64 +391,30 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
       ss.send_done = true;
       break;
     }
-    std::size_t clamp = 0;
-    if (const auto d = syscall_fault(st, ss, FaultSite::SendCall, fd, peer,
+    const iovec* iov = send_iov_.data() + ss.send_idx;
+    std::size_t cnt = std::min(send_iov_.size() - ss.send_idx, iov_max());
+    iovec clamped{};
+    if (const auto d = syscall_fault(st, ss, FaultSite::SendCall, peer,
                                      ss.send_moved)) {
       if (d->kind == FaultKind::Eintr) continue;   // as if sendmsg -> EINTR
       if (d->kind == FaultKind::Eagain) break;     // as if sendmsg -> EAGAIN
       if (d->kind == FaultKind::ShortIo) {
-        clamp = std::max<std::uint64_t>(d->arg, 1);
+        // Truncated transfer: offer a prefix of the current entry,
+        // exercising the partial-I/O resume path.
+        clamped = *iov;
+        clamped.iov_len = std::min<std::size_t>(
+            clamped.iov_len, std::max<std::uint64_t>(d->arg, 1));
+        iov = &clamped;
+        cnt = 1;
       }
     }
-    if (pv != nullptr) {
-      // Shm fast path: the same sectioned iovec list streams into the pair's
-      // SPSC ring with plain memcpy. A full ring is the EAGAIN analogue. No
-      // syscall happens, so wire_syscalls stays untouched — that IS the
-      // headline metric.
-      const std::size_t cnt =
-          clamp != 0 ? 1 : std::min(send_iov_.size() - ss.send_idx, iov_max());
-      const std::size_t maxb =
-          clamp != 0 ? clamp : std::numeric_limits<std::size_t>::max();
-      const std::size_t w = shm_ring_write(
-          pv->send, send_iov_.data() + ss.send_idx, cnt, maxb);
-      if (w == 0) break;  // ring full
-      advance_iov(send_iov_, ss.send_idx, w);
-      moved += w;
-      ss.send_moved += static_cast<std::uint64_t>(w);
-      st.wire_bytes += static_cast<std::uint64_t>(w);
-      continue;
-    }
-    iovec clamped{};
-    msghdr mh{};
-    if (clamp != 0) {
-      // Truncated transfer: offer the kernel a prefix of the current entry,
-      // exercising the partial-I/O resume path.
-      clamped = send_iov_[ss.send_idx];
-      clamped.iov_len = std::min(clamped.iov_len, clamp);
-      mh.msg_iov = &clamped;
-      mh.msg_iovlen = 1;
-    } else {
-      mh.msg_iov = send_iov_.data() + ss.send_idx;
-      mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(
-          std::min(send_iov_.size() - ss.send_idx, iov_max()));
-    }
-    const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      // Counts only calls that moved bytes: idle EAGAIN probes are a
-      // property of the waiting policy, not of the wire format's syscall
-      // economy, and would make the metric timing-dependent.
-      ++st.wire_syscalls;
-      advance_iov(send_iov_, ss.send_idx, static_cast<std::size_t>(n));
-      moved += static_cast<std::size_t>(n);
-      ss.send_moved += static_cast<std::uint64_t>(n);
-      st.wire_bytes += static_cast<std::uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    throw BspTransportError(
-        "stage send failed (peer dead?)", st.pid, peer,
-        static_cast<std::int64_t>(st.superstep), ss.k, errno, ss.send_moved);
+    const ssize_t n = link_write(st, ss, peer, iov, cnt);
+    if (n < 0) continue;  // EINTR
+    if (n == 0) break;    // EAGAIN or a full ring
+    advance_iov(send_iov_, ss.send_idx, static_cast<std::size_t>(n));
+    moved += static_cast<std::size_t>(n);
+    ss.send_moved += static_cast<std::uint64_t>(n);
+    st.wire_bytes += static_cast<std::uint64_t>(n);
   }
   return moved;
 }
@@ -413,14 +424,14 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
   const std::size_t count = static_cast<std::size_t>(ss.recv_pre.count);
   // First pass validates every header before a single arena append: a
   // corrupt stream must not size allocations or leave half-parsed frames.
+  const bool zc_link = links_[static_cast<std::size_t>(src)].ring != nullptr;
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < count; ++i) {
     WireFrameHeader h;
     std::memcpy(&h, hdr_in_.data() + i * sizeof(WireFrameHeader), sizeof(h));
     // pad == 1 on a 16-byte frame flags a zero-copy descriptor, accepted
-    // only on the shm transport; every other nonzero pad is corruption.
-    if (h.pad != 0 &&
-        !(is_shm_ && h.pad == 1 && h.len == sizeof(ShmZcDesc))) {
+    // only on a ring link; every other nonzero pad is corruption.
+    if (h.pad != 0 && !(zc_link && h.pad == 1 && h.len == sizeof(ShmZcDesc))) {
       throw BspTransportError(
           "frame header " + std::to_string(i) + " has nonzero pad " +
               std::to_string(h.pad) + " (stream corruption?)",
@@ -476,111 +487,49 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
 
 std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
   const int src = recv_peer(ss);
-  const int fd = mesh_->fd(pid_, src);
-  ShmPairView* pv =
-      is_shm_ ? shm_pairs_[static_cast<std::size_t>(src)] : nullptr;
   std::size_t moved = 0;
   while (!ss.recv_done) {
     if (ss.phase == StageState::Phase::Done) {
       ss.recv_done = true;
       break;
     }
-    std::size_t clamp = 0;
-    if (const auto d = syscall_fault(st, ss, FaultSite::RecvCall, fd, src,
+    // Where the current section lands: the preamble scratch, the whole
+    // remaining header block in one bulk read (the receive-side win over a
+    // per-frame state machine), or the payload slots in the inbox arena.
+    iovec one{};
+    const iovec* iov = &one;
+    std::size_t cnt = 1;
+    switch (ss.phase) {
+      case StageState::Phase::Preamble:
+        one = {ss.scratch + ss.scratch_off,
+               sizeof(StagePreamble) - ss.scratch_off};
+        break;
+      case StageState::Phase::Headers:
+        one = {hdr_in_.data() + ss.hdr_off, hdr_in_.size() - ss.hdr_off};
+        break;
+      case StageState::Phase::Payload:
+        iov = recv_iov_.data() + ss.recv_idx;
+        cnt = std::min(recv_iov_.size() - ss.recv_idx, iov_max());
+        break;
+      case StageState::Phase::Done:
+        break;
+    }
+    if (const auto d = syscall_fault(st, ss, FaultSite::RecvCall, src,
                                      ss.recv_moved)) {
       if (d->kind == FaultKind::Eintr) continue;  // as if recv -> EINTR
       if (d->kind == FaultKind::Eagain) break;    // as if recv -> EAGAIN
       if (d->kind == FaultKind::ShortIo) {
-        clamp = std::max<std::uint64_t>(d->arg, 1);
+        one = *iov;
+        one.iov_len = std::min<std::size_t>(one.iov_len,
+                                            std::max<std::uint64_t>(d->arg, 1));
+        iov = &one;
+        cnt = 1;
       }
     }
-    std::size_t got = 0;
-    if (pv != nullptr) {
-      // Shm fast path: drain the pair's SPSC ring with plain memcpy; an
-      // empty ring is the EAGAIN analogue (peer death surfaces on the idle
-      // path via the control channel, not here). No syscall, no
-      // wire_syscalls.
-      switch (ss.phase) {
-        case StageState::Phase::Preamble: {
-          std::size_t want = sizeof(StagePreamble) - ss.scratch_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          got = shm_ring_read(pv->recv, ss.scratch + ss.scratch_off, want);
-          break;
-        }
-        case StageState::Phase::Headers: {
-          std::size_t want = hdr_in_.size() - ss.hdr_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          got = shm_ring_read(pv->recv, hdr_in_.data() + ss.hdr_off, want);
-          break;
-        }
-        case StageState::Phase::Payload: {
-          if (clamp != 0) {
-            iovec clamped = recv_iov_[ss.recv_idx];
-            clamped.iov_len = std::min(clamped.iov_len, clamp);
-            got = shm_ring_read_iov(pv->recv, &clamped, 1, clamp);
-            break;
-          }
-          const std::size_t cnt =
-              std::min(recv_iov_.size() - ss.recv_idx, iov_max());
-          got = shm_ring_read_iov(pv->recv, recv_iov_.data() + ss.recv_idx,
-                                  cnt,
-                                  std::numeric_limits<std::size_t>::max());
-          break;
-        }
-        case StageState::Phase::Done:
-          break;
-      }
-      if (got == 0) break;  // ring empty
-    } else {
-      ssize_t n = 0;
-      switch (ss.phase) {
-        case StageState::Phase::Preamble: {
-          std::size_t want = sizeof(StagePreamble) - ss.scratch_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          n = ::recv(fd, ss.scratch + ss.scratch_off, want, 0);
-          break;
-        }
-        case StageState::Phase::Headers: {
-          // One bulk read for the whole remaining header block — this is the
-          // receive-side win over the per-frame state machine.
-          std::size_t want = hdr_in_.size() - ss.hdr_off;
-          if (clamp != 0) want = std::min(want, clamp);
-          n = ::recv(fd, hdr_in_.data() + ss.hdr_off, want, 0);
-          break;
-        }
-        case StageState::Phase::Payload: {
-          if (clamp != 0) {
-            iovec clamped = recv_iov_[ss.recv_idx];
-            clamped.iov_len = std::min(clamped.iov_len, clamp);
-            n = ::readv(fd, &clamped, 1);
-            break;
-          }
-          const std::size_t cnt =
-              std::min(recv_iov_.size() - ss.recv_idx, iov_max());
-          n = ::readv(fd, recv_iov_.data() + ss.recv_idx,
-                      static_cast<int>(cnt));
-          break;
-        }
-        case StageState::Phase::Done:
-          break;
-      }
-      if (n == 0) {
-        throw BspTransportError(
-            "peer closed its endpoint mid-stage (peer death)", st.pid, src,
-            static_cast<std::int64_t>(st.superstep), ss.k, /*err=*/0,
-            ss.recv_moved);
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        throw BspTransportError(
-            "stage recv failed", st.pid, src,
-            static_cast<std::int64_t>(st.superstep), ss.k, errno,
-            ss.recv_moved);
-      }
-      ++st.wire_syscalls;  // like the send side: only calls that moved bytes
-      got = static_cast<std::size_t>(n);
-    }
+    const ssize_t n = link_read(st, ss, src, iov, cnt);
+    if (n < 0) continue;  // EINTR
+    if (n == 0) break;    // EAGAIN or an empty ring
+    const std::size_t got = static_cast<std::size_t>(n);
     moved += got;
     ss.recv_moved += static_cast<std::uint64_t>(got);
     switch (ss.phase) {
@@ -657,21 +606,15 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
   return moved;
 }
 
-void ExchangeEngine::check_peer_alive(WorkerState& st, const StageState& ss,
-                                      int peer) {
-  const int fd = mesh_->fd(pid_, peer);
-  if (fd < 0) return;
+bool ExchangeEngine::peer_closed(WorkerState& st, const StageState& ss,
+                                 int peer) {
+  const int fd = links_[static_cast<std::size_t>(peer)].fd;
+  if (fd < 0) return false;
   char b;
   const ssize_t r = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (r == 0) {
-    // EOF on the bootstrap control stream: the peer process exited (or its
-    // endpoints were killed) — the same condition the socket pumps see as a
-    // mid-stage close.
-    throw BspTransportError(
-        "peer closed its endpoint mid-stage (peer death)", st.pid, peer,
-        static_cast<std::int64_t>(st.superstep), ss.k, /*err=*/0,
-        ss.send_moved + ss.recv_moved);
-  }
+  // EOF on the bootstrap control stream: the peer process exited (or its
+  // endpoints were killed).
+  if (r == 0) return true;
   if (r > 0) {
     // Nothing is ever sent on the control stream after bootstrap.
     throw BspTransportError(
@@ -684,12 +627,16 @@ void ExchangeEngine::check_peer_alive(WorkerState& st, const StageState& ss,
                             static_cast<std::int64_t>(st.superstep), ss.k,
                             errno, ss.send_moved + ss.recv_moved);
   }
+  return false;
 }
 
 void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
   using Clock = std::chrono::steady_clock;
-  const int sfd = mesh_->fd(pid_, send_peer(ss));
-  const int rfd = mesh_->fd(pid_, recv_peer(ss));
+  const Link& out = links_[static_cast<std::size_t>(send_peer(ss))];
+  const Link& in = links_[static_cast<std::size_t>(recv_peer(ss))];
+  // Rings are memory: there is nothing to poll, so an idle ring stage naps
+  // and probes the control streams instead.
+  const bool rings = out.ring != nullptr || in.ring != nullptr;
   auto last_progress = Clock::now();
   std::size_t backoff_ms = cfg_->socket_backoff_initial_ms;
   // The shm idle nap is microsecond-scale: unlike poll(), which wakes the
@@ -732,20 +679,36 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
     // sharing the host's cores (each yield is a cheap handoff to a peer that
     // may be about to write this ring), where a nap is a blind wait.
     const std::size_t spin_us =
-        is_shm_ ? cfg_->socket_spin_us * 64 : cfg_->socket_spin_us;
+        rings ? cfg_->socket_spin_us * 64 : cfg_->socket_spin_us;
     if (idle < std::chrono::microseconds(spin_us)) {
       std::this_thread::yield();
       continue;
     }
-    if (is_shm_) {
-      // The shm rings are memory — there is nothing to poll. Past the spin
-      // budget, probe the bootstrap control channel for peer death (the one
-      // failure the data path cannot observe), then sleep with the same
-      // bounded exponential backoff the socket path uses. These probes only
-      // run while idle, so the zero-syscall steady state is preserved.
-      if (!ss.send_done) check_peer_alive(st, ss, send_peer(ss));
-      if (!ss.recv_done) check_peer_alive(st, ss, recv_peer(ss));
-      if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, rfd,
+    if (rings) {
+      // Past the spin budget, probe the bootstrap control channels for peer
+      // death (the one failure the data path cannot observe), then sleep
+      // with the same bounded exponential backoff the socket path uses.
+      // These probes only run while idle, so the zero-syscall steady state
+      // is preserved.
+      int dead = -1;
+      if (!ss.send_done && peer_closed(st, ss, send_peer(ss))) {
+        dead = send_peer(ss);
+      } else if (!ss.recv_done && peer_closed(st, ss, recv_peer(ss))) {
+        dead = recv_peer(ss);
+      }
+      if (dead >= 0) {
+        // A peer that already wrote its whole last stage may finish and
+        // tear down between the empty pump above and this probe: drain once
+        // more, and report a death only if the stage still cannot complete.
+        if (!ss.send_done) pump_send(st, ss);
+        if (!ss.recv_done) pump_recv(st, ss);
+        if (ss.send_done && ss.recv_done) return;
+        throw BspTransportError(
+            "peer closed its endpoint mid-stage (peer death)", st.pid, dead,
+            static_cast<std::int64_t>(st.superstep), ss.k, /*err=*/0,
+            ss.send_moved + ss.recv_moved);
+      }
+      if (const auto d = syscall_fault(st, ss, FaultSite::PollCall,
                                        recv_peer(ss), 0)) {
         (void)d;  // Eintr/Eagain: skip this wait round
         backoff_us = std::min(backoff_us * 2,
@@ -763,22 +726,22 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
     struct pollfd fds[2];
     nfds_t nfds = 0;
     if (!ss.send_done) {
-      fds[nfds].fd = sfd;
+      fds[nfds].fd = out.fd;
       fds[nfds].events = POLLOUT;
       fds[nfds].revents = 0;
       ++nfds;
     }
     if (!ss.recv_done) {
-      if (nfds == 1 && fds[0].fd == rfd) {
+      if (nfds == 1 && fds[0].fd == in.fd) {
         fds[0].events |= POLLIN;
       } else {
-        fds[nfds].fd = rfd;
+        fds[nfds].fd = in.fd;
         fds[nfds].events = POLLIN;
         fds[nfds].revents = 0;
         ++nfds;
       }
     }
-    if (const auto d = syscall_fault(st, ss, FaultSite::PollCall, rfd,
+    if (const auto d = syscall_fault(st, ss, FaultSite::PollCall,
                                      recv_peer(ss), 0)) {
       // Eintr/Eagain: skip this poll round as if it was interrupted; the
       // loop re-pumps and re-polls with the next backoff step.
@@ -797,15 +760,6 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
                               errno, ss.send_moved + ss.recv_moved);
     }
     backoff_ms = std::min(backoff_ms * 2, cfg_->socket_backoff_max_ms);
-  }
-}
-
-void ExchangeEngine::run_all_stages(WorkerState& st) {
-  open_boundary(st);
-  StageState ss;
-  for (int k = 1; k < nprocs_; ++k) {
-    begin_stage(ss, k);
-    run_stage(st, ss);
   }
 }
 
@@ -831,7 +785,6 @@ bool ExchangeEngine::pump_window(WorkerState& st) {
 
 void ExchangeEngine::begin_window(WorkerState& st) {
   open_boundary(st);
-  split_active_ = true;
   split_done_ = (nprocs_ == 1);
   if (!split_done_) {
     begin_stage(split_ss_, 1);
@@ -854,7 +807,6 @@ void ExchangeEngine::finish_window(WorkerState& st) {
       split_done_ = true;
     }
   }
-  split_active_ = false;
 }
 
 }  // namespace detail

@@ -5,8 +5,9 @@
 // One engine serves one local rank. It owns that rank's staging state (the
 // per-destination outbox arenas, the inbox arena the receiver's views live
 // in, and reusable per-stage scratch) and the whole wire protocol; the mesh
-// owns fds and buffer sizing; the transport that composes the two owns
-// publication (inbox views), dirty-wire marking, and the Transport seam.
+// owns fds and buffer sizing; the transport that composes the two
+// (StagedTransport, core/transport_staged.hpp) owns publication (inbox
+// views), dirty-wire marking, and the Transport seam.
 //
 // Wire format v2 — sectioned stages. A stage is three contiguous sections:
 //
@@ -36,11 +37,12 @@
 // between attempts, so oversubscribed hosts hand the core to the peer)
 // before falling back to poll with bounded exponential backoff.
 //
-// Shm fast path: when the mesh exposes shared-memory pair views
-// (Mesh::shm_pair, non-null for ShmMesh), both pumps swap their syscalls for
-// SPSC ring operations (core/shm_ring.hpp) on the same iovec cursors — the
-// whole sectioned state machine, validation, fault clamps, and split-phase
-// windows run unchanged, a full ring is the EAGAIN analogue, and nothing on
+// Links: attach() picks each pair's data path once. When the mesh exposes a
+// shared-memory pair view (Mesh::shm_pair, non-null for ShmMesh) the pair is
+// a ring link, and both pumps swap their syscalls for SPSC ring operations
+// (core/shm_ring.hpp) on the same iovec cursors — the one sectioned state
+// machine, validation, fault clamps, and split-phase windows run unchanged
+// over either medium, a full ring is the EAGAIN analogue, and nothing on
 // the steady-state data path enters the kernel (wire_syscalls reads 0; idle
 // waits replace poll with bounded sleeps plus a liveness peek of the mesh's
 // control streams). Payloads >= Config::shm_inline_threshold additionally go
@@ -152,7 +154,7 @@ class ExchangeEngine {
   void attach(int pid, int nprocs);
 
   /// Clean-run reuse: releases every arena's slabs back to the pool (a
-  /// drained stream has nothing to leak) and clears stale window flags.
+  /// drained stream has nothing to leak).
   void reset_for_reuse();
 
   [[nodiscard]] int pid() const { return pid_; }
@@ -183,8 +185,9 @@ class ExchangeEngine {
   /// byte is written (pump_send clears it).
   void begin_stage(StageState& ss, int k);
 
-  /// Pumps one direction; returns bytes moved (0 on EAGAIN). Throws
-  /// BspTransportError on EOF, socket error, or a corrupt incoming stage.
+  /// Pumps one direction; returns bytes moved (0 on EAGAIN or a full/empty
+  /// ring). Throws BspTransportError on EOF, socket error, or a corrupt
+  /// incoming stage.
   /// Both pumps consult the fault injector (when installed) before every
   /// syscall and act out its decision: simulated EINTR/EAGAIN, truncated
   /// transfers, endpoint shutdown, delays, and aborts.
@@ -192,14 +195,12 @@ class ExchangeEngine {
   std::size_t pump_recv(WorkerState& st, StageState& ss);
 
   /// Blocking driver of one stage: pumps both directions with the adaptive
-  /// spin-then-poll waiting policy until the stage drains.
+  /// spin-then-poll waiting policy (spin-then-nap on ring links) until the
+  /// stage drains.
   void run_stage(WorkerState& st, StageState& ss);
 
-  /// The rigid boundary: open_boundary + all p-1 stages, blocking. The
-  /// caller publishes the inbox afterwards.
-  void run_all_stages(WorkerState& st);
-
-  // --- Split-phase window. The in-flight StageState lives inside the
+  // --- The boundary window (every boundary; a rigid sync() is a window
+  // with no compute in it). The in-flight StageState lives inside the
   // engine (not on the caller's stack) because send_iov_ points at
   // split_ss_.send_pre, which must stay at a stable address across
   // pump_window calls.
@@ -216,11 +217,10 @@ class ExchangeEngine {
   bool pump_window(WorkerState& st);
 
   /// Blocking resume: drives the remaining stages with run_stage. The
-  /// in-flight stage picks up exactly where the window's last pump left it.
-  /// Clears window_active(); the caller publishes afterwards.
+  /// in-flight stage picks up exactly where the window's last pump left it;
+  /// the caller publishes afterwards.
   void finish_window(WorkerState& st);
 
-  [[nodiscard]] bool window_active() const { return split_active_; }
   [[nodiscard]] bool window_done() const { return split_done_; }
 
   /// Stage-k peers of this rank (the rigid schedule: send to (pid+k) mod p,
@@ -234,6 +234,21 @@ class ExchangeEngine {
   }
 
  private:
+  /// One pair's data path, chosen at attach(): the mesh's shared-memory
+  /// rings when it has them, else the stream fd. On a ring link `fd` is the
+  /// bootstrap control stream, whose only post-bootstrap traffic is EOF.
+  struct Link {
+    int fd = -1;
+    ShmPairView* ring = nullptr;
+  };
+
+  /// One transfer attempt on the link with `peer`/`src`: bytes moved, 0
+  /// when it would block (EAGAIN, or a full/empty ring), -1 on EINTR.
+  /// Throws the peer-death/socket-error BspTransportError otherwise.
+  ssize_t link_write(WorkerState& st, const StageState& ss, int peer,
+                     const iovec* iov, std::size_t cnt);
+  ssize_t link_read(WorkerState& st, const StageState& ss, int src,
+                    const iovec* iov, std::size_t cnt);
   /// Validates the fully received header block, appends its frames to the
   /// inbox arena and builds recv_iov_; advances ss to Payload (or Done).
   void parse_header_block(WorkerState& st, StageState& ss, int src);
@@ -242,7 +257,7 @@ class ExchangeEngine {
   /// DelayUs/PeerHangup side effects itself and throws on Abort.
   std::optional<FaultInjector::Decision> syscall_fault(WorkerState& st,
                                                        const StageState& ss,
-                                                       FaultSite site, int fd,
+                                                       FaultSite site,
                                                        int peer,
                                                        std::uint64_t moved);
   /// Applies a pending CorruptByte decision to `n` freshly received control
@@ -250,13 +265,13 @@ class ExchangeEngine {
   /// validation path reads them.
   void maybe_corrupt(WorkerState& st, const StageState& ss, int src,
                      std::byte* buf, std::size_t n);
-  /// Shm idle path: one non-consuming, non-blocking peek of the control
-  /// stream with `peer`. EOF means the peer died (or was kill_endpoints'd);
-  /// throws the same peer-death BspTransportError the socket pumps raise.
-  void check_peer_alive(WorkerState& st, const StageState& ss, int peer);
-  /// Attempts a zero-copy slab reservation of `n` bytes toward `dest`;
-  /// returns nullptr (inline fallback) when the pair has no slab, the epoch
-  /// half is not yet recycled or is full, or `n` exceeds half the slab.
+  /// Ring idle path: one non-consuming, non-blocking peek of the control
+  /// stream with `peer`. True on EOF: the peer exited (or was
+  /// kill_endpoints'd). Throws on stray bytes or a failed peek.
+  bool peer_closed(WorkerState& st, const StageState& ss, int peer);
+  /// Attempts a zero-copy slab reservation of `n` bytes toward `dest`, a
+  /// ring link; returns nullptr (inline fallback) when the epoch half is not
+  /// yet recycled or is full, or `n` exceeds half the slab.
   std::byte* try_reserve_zc(WorkerState& st, int dest, std::size_t n);
   [[nodiscard]] FaultInjector* injector() const {
     return fault_ != nullptr ? *fault_ : nullptr;
@@ -277,14 +292,13 @@ class ExchangeEngine {
   std::vector<std::byte> hdr_in_;   // incoming header block, bulk-read
   std::vector<iovec> send_iov_;     // preamble + hdr_out + payload spans
   std::vector<iovec> recv_iov_;     // inbox-arena payload slots to fill
-  // Split-phase window state (see begin_window).
+  // Boundary window state (see begin_window).
   StageState split_ss_;
-  bool split_active_ = false;
   bool split_done_ = false;
 
-  // --- Shm fast path (cached at attach; empty/false on fd meshes).
-  std::vector<ShmPairView*> shm_pairs_;  // per peer; nullptr on the diagonal
-  bool is_shm_ = false;
+  std::vector<Link> links_;  // per peer; {-1, nullptr} on the diagonal
+
+  // --- Zero-copy slab state (used only toward ring links).
   // Boundaries opened since attach — the zero-copy epoch. MONOTONIC across
   // clean-run reuse (reset only at attach, which follows a fresh mesh build
   // with freshly zeroed segment counters): run N+1's first epoch must not

@@ -168,6 +168,111 @@ void Mesh::apply_endpoint_options(int fd) const {
   }
 }
 
+void Mesh::send_hello(int fd, int peer) const {
+  RankHello h;
+  h.rank = static_cast<std::uint32_t>(cfg_.rank);
+  h.nprocs = static_cast<std::uint32_t>(nprocs_);
+  int err = 0;
+  if (!write_full(fd, &h, sizeof(h), &err)) {
+    throw BspTransportError("failed to send the rank handshake",
+                            cfg_.rank, peer, /*superstep=*/-1,
+                            /*stage=*/-1, err, /*bytes_moved=*/0);
+  }
+}
+
+RankHello Mesh::recv_hello(int fd, int peer) const {
+  RankHello h;
+  int err = 0;
+  if (!read_full(fd, &h, sizeof(h), &err)) {
+    if (err == 0) {
+      throw BspTransportError(
+          "peer closed the connection during the rank handshake (peer died "
+          "during accept?)",
+          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          /*bytes_moved=*/0);
+    }
+    if (err == EAGAIN || err == EWOULDBLOCK) {
+      throw BspTransportError(
+          "rank handshake timed out after tcp_connect_timeout_ms=" +
+              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
+          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          /*bytes_moved=*/0);
+    }
+    throw BspTransportError("failed to read the rank handshake",
+                            cfg_.rank, peer, /*superstep=*/-1,
+                            /*stage=*/-1, err, /*bytes_moved=*/0);
+  }
+  return h;
+}
+
+void Mesh::check_hello(const RankHello& h, int expect_rank, const char* link,
+                       const char* cause) const {
+  const int me = cfg_.rank;
+  if (h.magic != RankHello::kMagic) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(h.magic));
+    throw BspTransportError(
+        std::string("rank handshake has bad magic ") + hex +
+            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.version != RankHello::kVersion) {
+    throw BspTransportError(
+        "rank handshake version mismatch: peer speaks mesh protocol v" +
+            std::to_string(h.version) + ", this build expects v" +
+            std::to_string(RankHello::kVersion),
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.reserved != 0) {
+    throw BspTransportError(
+        "rank handshake has nonzero reserved field (stream corruption?)", me,
+        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
+    throw BspTransportError(
+        "rank handshake nprocs mismatch: peer was launched with " +
+            std::to_string(h.nprocs) + " ranks, this rank with " +
+            std::to_string(nprocs_),
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (expect_rank >= 0) {
+    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
+      throw BspTransportError(
+          "rank handshake rank mismatch: expected rank " +
+              std::to_string(expect_rank) + " on this " + link +
+              ", peer claims rank " + std::to_string(h.rank) + " (" + cause +
+              ")",
+          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          /*bytes_moved=*/0);
+    }
+    return;
+  }
+  // Accept side: any higher rank we have not accepted yet.
+  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
+      static_cast<int>(h.rank) <= me) {
+    throw BspTransportError(
+        "rank handshake rank mismatch: accepted a connection claiming rank " +
+            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
+            " of " + std::to_string(nprocs_) +
+            " only accepts from higher ranks",
+        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
+        /*err=*/0, /*bytes_moved=*/0);
+  }
+  if (fd(me, static_cast<int>(h.rank)) >= 0) {
+    throw BspTransportError(
+        "duplicate rank handshake: rank " + std::to_string(h.rank) +
+            " connected twice (two processes launched with the same "
+            "GBSP_RANK?)",
+        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
+        /*err=*/0, /*bytes_moved=*/0);
+  }
+}
+
 // ------------------------------------------------------------ SocketpairMesh
 
 void SocketpairMesh::teardown() {
@@ -231,124 +336,20 @@ void TcpMesh::teardown() {
 }
 
 int TcpMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.tcp_rank) return -1;  // only the local rank has endpoints
+  if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
   return fd_[static_cast<std::size_t>(peer)];
 }
 
 void TcpMesh::kill_endpoints(int pid) {
   mark_dirty();
-  if (pid != cfg_.tcp_rank) return;
+  if (pid != cfg_.rank) return;
   for (int fd : fd_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 }
 
-void TcpMesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.tcp_rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-}
-
-RankHello TcpMesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
-}
-
-void TcpMesh::check_hello(const RankHello& h, int fd, int expect_rank) const {
-  (void)fd;
-  const int me = cfg_.tcp_rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
-      throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) + " on this port, peer claims rank " +
-              std::to_string(h.rank) + " (port map skewed?)",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    return;
-  }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-  if (fd_[h.rank] >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-}
-
 void TcpMesh::do_build(int nprocs) {
-  const int me = cfg_.tcp_rank;
+  const int me = cfg_.rank;
   fd_.assign(static_cast<std::size_t>(nprocs), -1);
 
   in_addr host_addr{};
@@ -429,7 +430,7 @@ void TcpMesh::do_build(int nprocs) {
         try {
           send_hello(fd, j);
           const RankHello h = recv_hello(fd, j);
-          check_hello(h, fd, /*expect_rank=*/j);
+          check_hello(h, /*expect_rank=*/j, "port", "port map skewed?");
           break;
         } catch (const BspTransportError& e) {
           ::close(fd);
@@ -492,7 +493,7 @@ void TcpMesh::do_build(int nprocs) {
     RankHello h;
     try {
       h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, fd, /*expect_rank=*/-1);
+      check_hello(h, /*expect_rank=*/-1);
       send_hello(fd, static_cast<int>(h.rank));
     } catch (...) {
       ::close(fd);
@@ -682,13 +683,13 @@ void ShmMesh::teardown() {
 }
 
 int ShmMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.shm_rank) return -1;  // only the local rank has endpoints
+  if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
   return ctrl_[static_cast<std::size_t>(peer)];
 }
 
 void ShmMesh::kill_endpoints(int pid) {
   mark_dirty();
-  if (pid != cfg_.shm_rank) return;
+  if (pid != cfg_.rank) return;
   // shutdown, not close: the peer's engine observes EOF on its death-check
   // peek of the control stream, exactly as a real process death reads.
   for (int fd : ctrl_) {
@@ -697,118 +698,14 @@ void ShmMesh::kill_endpoints(int pid) {
 }
 
 ShmPairView* ShmMesh::shm_pair(int pid, int peer) {
-  if (pid != cfg_.shm_rank || peer == pid) return nullptr;
+  if (pid != cfg_.rank || peer == pid) return nullptr;
   if (peer < 0 || peer >= nprocs_) return nullptr;
   if (maps_[static_cast<std::size_t>(peer)].base == nullptr) return nullptr;
   return &pairs_[static_cast<std::size_t>(peer)];
 }
 
-void ShmMesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.shm_rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-}
-
-RankHello ShmMesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
-}
-
-void ShmMesh::check_hello(const RankHello& h, int expect_rank) const {
-  const int me = cfg_.shm_rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
-      throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) +
-              " on this socket, peer claims rank " + std::to_string(h.rank) +
-              " (shm_name collision between runs?)",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    return;
-  }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-  if (ctrl_[h.rank] >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-}
-
 int ShmMesh::create_segment(int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   const std::size_t len = shm_segment_bytes(cfg_);
   const std::string tag = "gbsp-shm." + cfg_.shm_name + "." +
                           std::to_string(std::min(me, peer)) + "-" +
@@ -853,7 +750,7 @@ int ShmMesh::create_segment(int peer) {
 }
 
 void ShmMesh::adopt_segment(int seg_fd, int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   struct stat st {};
   if (::fstat(seg_fd, &st) != 0) {
     throw BspTransportError("fstat of the received shm segment fd failed", me,
@@ -915,7 +812,7 @@ void ShmMesh::adopt_segment(int seg_fd, int peer) {
 }
 
 void ShmMesh::wire_views(void* base, int peer) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   const std::size_t dir = shm_dir_bytes(cfg_);
   std::byte* b = static_cast<std::byte*>(base);
   const auto view = [&](std::size_t off) {
@@ -940,7 +837,7 @@ void ShmMesh::wire_views(void* base, int peer) {
 }
 
 void ShmMesh::do_build(int nprocs) {
-  const int me = cfg_.shm_rank;
+  const int me = cfg_.rank;
   const std::size_t p = static_cast<std::size_t>(nprocs);
   ctrl_.assign(p, -1);
   pairs_.assign(p, ShmPairView{});
@@ -1007,7 +904,8 @@ void ShmMesh::do_build(int nprocs) {
         try {
           send_hello(fd, j);
           const RankHello h = recv_hello(fd, j);
-          check_hello(h, /*expect_rank=*/j);
+          check_hello(h, /*expect_rank=*/j, "socket",
+                      "shm_name collision between runs?");
           std::uint64_t seg_len = 0;
           const int seg_fd = recv_fd_with_len(fd, &seg_len, me, j,
                                               cfg_.tcp_connect_timeout_ms);

@@ -6,10 +6,10 @@
 // buffer sizing. It knows nothing about the staged exchange protocol; the
 // staged-exchange engine (core/exchange_engine.hpp) pumps bytes through
 // whatever fds the mesh hands it. This is the seam that lets the same v2
-// sectioned wire format run over in-process AF_UNIX socketpairs and over
-// AF_INET/TCP between separate OS processes.
+// sectioned wire format run over in-process AF_UNIX socketpairs, over
+// AF_INET/TCP between separate OS processes, and over shared-memory rings.
 //
-// Two implementations:
+// Three implementations:
 //
 //   * SocketpairMesh — the in-process mesh: all p ranks live in this process
 //     as threads, and each (i, j) pair is an AF_UNIX SOCK_STREAM socketpair
@@ -24,6 +24,10 @@
 //     RankHello and validate it bidirectionally before the connection joins
 //     the mesh; TCP_NODELAY is set on every endpoint so the staged
 //     exchange's small control sections are not Nagle-delayed.
+//
+//   * ShmMesh — the cross-process mesh on one host: the same rank topology
+//     and RankHello handshake over abstract AF_UNIX sockets, after which
+//     each pair shares an fd-passed memfd segment of SPSC rings.
 //
 // Dirty-wire contract (shared with the transports): a mesh starts dirty, so
 // the first build() happens on the first reset_run(). A worker that unwinds
@@ -49,6 +53,24 @@
 namespace gbsp {
 namespace detail {
 
+/// On-wire rank handshake exchanged (both directions) on every freshly
+/// connected link of a process-mode mesh (TcpMesh, ShmMesh), before it
+/// carries stage traffic. The magic doubles as a byte-order sentinel: a peer
+/// of different endianness (or a stray client that is not a gbsp rank) fails
+/// the magic check with a descriptive error instead of desynchronising the
+/// stage protocol.
+struct RankHello {
+  static constexpr std::uint64_t kMagic = 0x4853454D50534247ULL;  // "GBSPMESH"
+  static constexpr std::uint32_t kVersion = 1;
+
+  std::uint64_t magic = kMagic;
+  std::uint32_t version = kVersion;
+  std::uint32_t rank = 0;
+  std::uint32_t nprocs = 0;
+  std::uint32_t reserved = 0;  // transmitted zero, validated on receipt
+};
+static_assert(sizeof(RankHello) == 24, "rank handshake layout drifted");
+
 /// Abstract endpoint mesh: fd lifecycle + buffer sizing for one run
 /// topology. Not thread-safe except where noted (mark_dirty may be called
 /// from concurrently failing workers; everything else is single-threaded
@@ -63,6 +85,11 @@ class Mesh {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
+  /// True when this process owns every rank's endpoints (the in-process
+  /// socketpair mesh); false for the process-mode meshes, where this process
+  /// is rank Config::rank alone.
+  [[nodiscard]] virtual bool hosts_every_rank() const { return false; }
+
   /// (Re)builds every endpoint this process owns for a p-rank run:
   /// tears down the previous mesh, runs the implementation's bootstrap, and
   /// on success clears the dirty flag and bumps builds(). On failure the
@@ -74,8 +101,8 @@ class Mesh {
   virtual void teardown() = 0;
 
   /// The local end of pid's full-duplex stream with peer, or -1 for self
-  /// (stage 0 is self-delivery and never touches the wire). For TcpMesh,
-  /// pid must be the local rank.
+  /// (stage 0 is self-delivery and never touches the wire). On a
+  /// process-mode mesh, -1 unless pid is the local rank.
   [[nodiscard]] virtual int fd(int pid, int peer) const = 0;
 
   /// Fault hook: hard-shutdown (not close) of every endpoint `pid` owns, as
@@ -119,6 +146,19 @@ class Mesh {
   /// handles teardown and bookkeeping.
   virtual void do_build(int nprocs) = 0;
 
+  /// Blocking-with-deadline exact write/read of a RankHello on a freshly
+  /// connected process-mode link (the only blocking I/O in the system;
+  /// stage traffic is non-blocking). `peer` is -1 when the sender's rank is
+  /// not yet known.
+  void send_hello(int fd, int peer) const;
+  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
+  /// Validates a received hello against this rank's run. `expect_rank` is
+  /// the rank a dialer reached, or -1 on the accept side (any
+  /// not-yet-connected higher rank is admissible); a dialer's rank mismatch
+  /// names the `link` it reached and the likely `cause`.
+  void check_hello(const RankHello& h, int expect_rank, const char* link = "",
+                   const char* cause = "") const;
+
   /// Seeds the grow-only marks of (pid, peer) with what the kernel granted
   /// the endpoint at build, so stages that fit the default buffers never
   /// touch setsockopt.
@@ -155,6 +195,7 @@ class SocketpairMesh final : public Mesh {
   ~SocketpairMesh() override { SocketpairMesh::teardown(); }
 
   [[nodiscard]] const char* name() const override { return "socketpair"; }
+  [[nodiscard]] bool hosts_every_rank() const override { return true; }
   void teardown() override;
   [[nodiscard]] int fd(int pid, int peer) const override;
   void kill_endpoints(int pid) override;
@@ -168,24 +209,7 @@ class SocketpairMesh final : public Mesh {
   std::vector<int> fd_;
 };
 
-/// On-wire rank handshake exchanged (both directions) on every freshly
-/// connected TCP mesh link, before it carries stage traffic. The magic
-/// doubles as a byte-order sentinel: a peer of different endianness (or a
-/// stray client that is not a gbsp rank) fails the magic check with a
-/// descriptive error instead of desynchronising the stage protocol.
-struct RankHello {
-  static constexpr std::uint64_t kMagic = 0x4853454D50534247ULL;  // "GBSPMESH"
-  static constexpr std::uint32_t kVersion = 1;
-
-  std::uint64_t magic = kMagic;
-  std::uint32_t version = kVersion;
-  std::uint32_t rank = 0;
-  std::uint32_t nprocs = 0;
-  std::uint32_t reserved = 0;  // transmitted zero, validated on receipt
-};
-static_assert(sizeof(RankHello) == 24, "rank handshake layout drifted");
-
-/// Cross-process mesh: this process is rank Config::tcp_rank of an nprocs
+/// Cross-process mesh: this process is rank Config::rank of an nprocs
 /// process run. Bootstrap: every rank listens on tcp_port + rank (numeric
 /// IPv4 Config::tcp_host, SO_REUSEADDR); for each pair the higher rank
 /// connects to the lower rank's listener, retrying ECONNREFUSED until
@@ -201,21 +225,10 @@ class TcpMesh final : public Mesh {
   [[nodiscard]] int fd(int pid, int peer) const override;
   void kill_endpoints(int pid) override;
 
-  [[nodiscard]] int local_rank() const { return cfg_.tcp_rank; }
-
  protected:
   void do_build(int nprocs) override;
 
  private:
-  /// Blocking-with-deadline exact read/write of a RankHello on a freshly
-  /// connected link (the only blocking I/O in the system; stage traffic is
-  /// non-blocking). `peer` is -1 when the sender's rank is not yet known.
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  /// Shared validation of a received hello; `expect_rank` is -1 on the
-  /// accept side (any not-yet-connected higher rank is admissible).
-  void check_hello(const RankHello& h, int fd, int expect_rank) const;
-
   // fd_[j]: the local rank's stream with rank j; -1 for self and unbuilt.
   std::vector<int> fd_;
   int listen_fd_ = -1;
@@ -239,7 +252,7 @@ struct ShmSegmentHdr {
 };
 static_assert(sizeof(ShmSegmentHdr) == 40, "shm segment header drifted");
 
-/// Cross-process shared-memory mesh: this process is rank Config::shm_rank
+/// Cross-process shared-memory mesh: this process is rank Config::rank
 /// of an nprocs-process run on ONE host. Bootstrap reuses the TCP mesh's
 /// shape over abstract AF_UNIX sockets ("\0gbsp-shm.<shm_name>.<rank>"):
 /// the higher rank of each pair dials the lower rank's listener, both ends
@@ -264,8 +277,6 @@ class ShmMesh final : public Mesh {
   void grow_kernel_buffer(int, int, bool, std::size_t) override {}
   [[nodiscard]] ShmPairView* shm_pair(int pid, int peer) override;
 
-  [[nodiscard]] int local_rank() const { return cfg_.shm_rank; }
-
  protected:
   void do_build(int nprocs) override;
 
@@ -275,9 +286,6 @@ class ShmMesh final : public Mesh {
     std::size_t len = 0;
   };
 
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  void check_hello(const RankHello& h, int peer) const;
   /// Creates, sizes and maps the pair segment with `peer` (lower-rank side),
   /// initialises its header and control blocks, and returns the memfd (the
   /// caller passes it to the peer and closes it).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "core/transport.hpp"
@@ -30,28 +31,18 @@ void Worker::require_outside_window(const char* what) const {
 }
 
 void Worker::send_bytes(int dest, const void* data, std::size_t n) {
-  detail::WorkerState& st = *state_;
-  const Config& cfg = rt_->config();
-  require_outside_window("send()");
-  if (dest < 0 || dest >= cfg.nprocs) {
-    throw std::out_of_range("gbsp: send to invalid processor " +
-                            std::to_string(dest));
-  }
-  rt_->transport_->stage_send(st, dest, data, n);
-
-  const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
-  st.sent_packets += pkts;
-  st.sent_bytes += n;
-  st.sent_messages += 1;
-  if (cfg.collect_comm_matrix) {
-    st.sent_to[static_cast<std::size_t>(dest)] += pkts;
-  }
+  std::byte* slot = stage(dest, n, "send()");
+  if (n != 0) std::memcpy(slot, data, n);
 }
 
 std::byte* Worker::send_reserve(int dest, std::size_t n) {
+  return stage(dest, n, "send_reserve()");
+}
+
+std::byte* Worker::stage(int dest, std::size_t n, const char* what) {
   detail::WorkerState& st = *state_;
   const Config& cfg = rt_->config();
-  require_outside_window("send_reserve()");
+  require_outside_window(what);
   if (dest < 0 || dest >= cfg.nprocs) {
     throw std::out_of_range("gbsp: send to invalid processor " +
                             std::to_string(dest));
@@ -175,39 +166,6 @@ void Runtime::record_step(detail::WorkerState& st) {
   st.sent_messages = 0;
 }
 
-void Runtime::do_sync(detail::WorkerState& st) {
-  if (st.overlap_active) {
-    throw std::logic_error(
-        "gbsp: worker " + std::to_string(st.pid) +
-        " called sync() inside a split-phase window; use sync_end()");
-  }
-  if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  record_step(st);
-  transport_->flush(st);
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
-  } else if (transport_->needs_boundary_barriers()) {
-    barrier_a_->arrive_and_wait(st.pid);
-    transport_->deliver_to(st);
-    barrier_b_->arrive_and_wait(st.pid);
-  } else {
-    // Self-synchronising transport: deliver_to blocks until every peer's
-    // data for this boundary has arrived — the exchange is the barrier.
-    transport_->deliver_to(st);
-  }
-  st.superstep += 1;
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  // The boundary just crossed is a consistent cut: every message sent before
-  // it has been delivered, none sent after it exists yet. Snapshot here —
-  // at the top of the new superstep — so a restore replays from exactly
-  // this point.
-  if (cfg_.checkpoint_every != 0 &&
-      st.superstep % cfg_.checkpoint_every == 0) {
-    recovery_.checkpoint(st);
-  }
-  begin_work_slice(st);
-}
-
 namespace {
 
 std::int64_t steady_now_ns() {
@@ -217,6 +175,60 @@ std::int64_t steady_now_ns() {
 }
 
 }  // namespace
+
+void Runtime::begin_boundary(detail::WorkerState& st) {
+  if (cfg_.scheduling == Scheduling::Serialized) {
+    // One thread at a time: the exchange runs inside the scheduler at
+    // end_boundary; here the worker only seals its sends.
+    transport_->flush(st);
+  } else {
+    transport_->begin_exchange(st);
+  }
+}
+
+void Runtime::end_boundary(detail::WorkerState& st) {
+  if (cfg_.scheduling == Scheduling::Serialized) {
+    scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
+  } else if (transport_->needs_boundary_barriers()) {
+    // Every worker sealed its sends at begin_boundary, so once all arrive
+    // here the senders are quiescent.
+    barrier_a_->arrive_and_wait(st.pid);
+    transport_->finish_exchange(st);
+    barrier_b_->arrive_and_wait(st.pid);
+  } else {
+    // Self-synchronising transport: finish_exchange blocks until every
+    // peer's data for this boundary has arrived — the exchange is the
+    // barrier.
+    transport_->finish_exchange(st);
+  }
+  st.superstep += 1;
+  progress_.fetch_add(1, std::memory_order_relaxed);
+  // The boundary just crossed is a consistent cut: every message sent before
+  // it has been delivered, none sent after it exists yet. Snapshot here —
+  // at the top of the new superstep — so a restore replays from exactly
+  // this point. A fault inside a split-phase window unwound before reaching
+  // here, so a checkpoint is only ever taken on a fully reconciled boundary.
+  if (cfg_.checkpoint_every != 0 &&
+      st.superstep % cfg_.checkpoint_every == 0) {
+    recovery_.checkpoint(st);
+  }
+  begin_work_slice(st);
+}
+
+void Runtime::do_sync(detail::WorkerState& st) {
+  if (st.overlap_active) {
+    throw std::logic_error(
+        "gbsp: worker " + std::to_string(st.pid) +
+        " called sync() inside a split-phase window; use sync_end()");
+  }
+  if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
+  // A rigid boundary is a split pair with an empty window. Closing the
+  // superstep first keeps the exchange out of its work_us and charges the
+  // boundary's wire traffic to the superstep it opens.
+  record_step(st);
+  begin_boundary(st);
+  end_boundary(st);
+}
 
 void Runtime::do_sync_begin(detail::WorkerState& st) {
   if (st.overlap_active) {
@@ -230,14 +242,9 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
   // boundary opens (the rigid path's charging rule).
   st.overlap_wire_base = st.wire_bytes;
   st.overlap_syscall_base = st.wire_syscalls;
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    // One thread at a time: the exchange runs inside the scheduler at
-    // sync_end, exactly like a rigid boundary. The window still measures the
-    // caller's overlappable compute, so Serialized traces stay comparable.
-    transport_->flush(st);
-  } else {
-    transport_->begin_exchange(st);
-  }
+  // Under Serialized scheduling the window still measures the caller's
+  // overlappable compute, so Serialized traces stay comparable.
+  begin_boundary(st);
   st.overlap_active = true;
   st.overlap_start_ns = steady_now_ns();
 }
@@ -273,27 +280,7 @@ void Runtime::do_sync_end(detail::WorkerState& st) {
   st.overlap_us = window_us;
   st.overlap_wire_bytes = window_wire;
   st.overlap_active = false;
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
-  } else if (transport_->needs_boundary_barriers()) {
-    // Same placement as a rigid boundary: every worker sealed its sends at
-    // its own sync_begin, so once all arrive here the senders are quiescent.
-    barrier_a_->arrive_and_wait(st.pid);
-    transport_->finish_exchange(st);
-    barrier_b_->arrive_and_wait(st.pid);
-  } else {
-    transport_->finish_exchange(st);
-  }
-  st.superstep += 1;
-  progress_.fetch_add(1, std::memory_order_relaxed);
-  // Same consistent cut as the rigid boundary (see do_sync): a fault inside
-  // the window unwound before reaching here, so a checkpoint is only ever
-  // taken on a fully reconciled boundary.
-  if (cfg_.checkpoint_every != 0 &&
-      st.superstep % cfg_.checkpoint_every == 0) {
-    recovery_.checkpoint(st);
-  }
-  begin_work_slice(st);
+  end_boundary(st);
 }
 
 void Runtime::finalize_worker(detail::WorkerState& st) {
@@ -374,7 +361,7 @@ void Runtime::watchdog_main() {
 
 void Runtime::worker_main(int local, const std::function<void(Worker&)>& fn) {
   // `local` indexes states_; st.pid is the global rank (they differ only in
-  // process mode, where the one local state carries Config::tcp_rank).
+  // process mode, where the one local state carries Config::rank).
   detail::WorkerState& st = *states_[static_cast<std::size_t>(local)];
   Worker w(this, &st);
   detail::current_worker_slot() = &w;
@@ -414,7 +401,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   states_.reserve(static_cast<std::size_t>(nl));
   for (int i = 0; i < nl; ++i) {
     auto st = std::make_unique<detail::WorkerState>();
-    st->pid = process_mode() ? process_rank() : i;
+    st->pid = process_mode() ? cfg_.rank : i;
     st->seq_to.assign(static_cast<std::size_t>(p), 0);
     if (cfg_.collect_comm_matrix) {
       st->sent_to.assign(static_cast<std::size_t>(p), 0);

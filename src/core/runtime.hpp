@@ -189,6 +189,11 @@ class Worker {
   friend class Runtime;
   Worker(Runtime* rt, detail::WorkerState* state) : rt_(rt), state_(state) {}
 
+  /// The one send path: stages an n-byte message to `dest` through the
+  /// transport and charges it to this superstep; `what` names the caller in
+  /// diagnostics.
+  std::byte* stage(int dest, std::size_t n, const char* what);
+
   /// Throws std::logic_error when called inside a split-phase window: the
   /// inbox views may already have been invalidated by begin_exchange(), so
   /// uniform refusal is what keeps the semantics transport-portable.
@@ -249,25 +254,27 @@ class Runtime {
   void worker_main(int local, const std::function<void(Worker&)>& fn);
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
-  /// carrying the global rank (Config::tcp_rank / Config::shm_rank),
-  /// boundary barriers have size 1, and cross-rank synchronisation is the
-  /// transport's staged exchange itself. RunStats then holds this rank's
-  /// trace only, and checkpoint resume degrades to whole-run replay
-  /// (RecoveryManager::latest_complete spans all nprocs ranks, of which only
-  /// the local one ever checkpoints here).
+  /// carrying the global rank (Config::rank), boundary barriers have size 1,
+  /// and cross-rank synchronisation is the transport's staged exchange
+  /// itself. RunStats then holds this rank's trace only, and checkpoint
+  /// resume degrades to whole-run replay (RecoveryManager::latest_complete
+  /// spans all nprocs ranks, of which only the local one ever checkpoints
+  /// here).
   [[nodiscard]] bool process_mode() const {
     return cfg_.delivery == DeliveryStrategy::Tcp ||
            cfg_.delivery == DeliveryStrategy::Shm;
-  }
-  /// The global rank this process hosts in process mode.
-  [[nodiscard]] int process_rank() const {
-    return cfg_.delivery == DeliveryStrategy::Shm ? cfg_.shm_rank
-                                                  : cfg_.tcp_rank;
   }
   void do_sync(detail::WorkerState& st);
   void do_sync_begin(detail::WorkerState& st);
   bool do_sync_progress(detail::WorkerState& st);
   void do_sync_end(detail::WorkerState& st);
+  /// The two halves every boundary shares — rigid sync() and the split
+  /// pair alike: begin_boundary seals the sends and starts the exchange;
+  /// end_boundary completes delivery (under the barriers or the scheduler,
+  /// as the mode requires), bumps the superstep and progress counters,
+  /// checkpoints, and opens the next work slice.
+  void begin_boundary(detail::WorkerState& st);
+  void end_boundary(detail::WorkerState& st);
   void record_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);

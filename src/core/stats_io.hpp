@@ -12,9 +12,11 @@
 
 namespace gbsp {
 
-/// Writes the per-superstep aggregates as CSV:
+/// Writes the per-superstep aggregates as an 18-column CSV:
 /// superstep,w_max_us,w_total_us,h_packets,total_packets,total_bytes,
-/// total_messages,h_messages,endpoint_messages
+/// total_messages,h_messages,endpoint_messages,total_wire_bytes,
+/// total_wire_syscalls,total_wire_zc_bytes,injected_faults,checkpoint_bytes,
+/// checkpoint_max_us,restore_max_us,overlap_max_us,total_overlap_wire_bytes
 void write_superstep_csv(std::ostream& os, const RunStats& stats);
 
 /// Parses write_superstep_csv output back into aggregates. Traces

@@ -7,11 +7,10 @@
 #include <sstream>
 #include <thread>
 
+#include "core/mesh.hpp"
 #include "core/transport_deferred.hpp"
 #include "core/transport_eager.hpp"
-#include "core/transport_shm.hpp"
-#include "core/transport_socket.hpp"
-#include "core/transport_tcp.hpp"
+#include "core/transport_staged.hpp"
 
 namespace gbsp {
 
@@ -73,11 +72,14 @@ std::unique_ptr<Transport> make_transport(const Config& cfg, SlabPool& pool,
     case DeliveryStrategy::Eager:
       return std::make_unique<EagerTransport>(cfg, pool, abort_flag);
     case DeliveryStrategy::Socket:
-      return std::make_unique<SocketTransport>(cfg, pool, abort_flag);
+      return std::make_unique<StagedTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::SocketpairMesh>(cfg));
     case DeliveryStrategy::Tcp:
-      return std::make_unique<TcpTransport>(cfg, pool, abort_flag);
+      return std::make_unique<StagedTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::TcpMesh>(cfg));
     case DeliveryStrategy::Shm:
-      return std::make_unique<ShmTransport>(cfg, pool, abort_flag);
+      return std::make_unique<StagedTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::ShmMesh>(cfg));
   }
   throw std::invalid_argument("gbsp: unknown DeliveryStrategy");
 }
@@ -118,14 +120,12 @@ bool configure_proc_from_env(Config& cfg) {
         "\" is not a cross-process transport (expected tcp or shm)");
   }
   cfg.nprocs = env_int("GBSP_NPROCS", nprocs, 1, 1 << 20);
-  const int r = env_int("GBSP_RANK", rank, 0, cfg.nprocs - 1);
+  cfg.rank = env_int("GBSP_RANK", rank, 0, cfg.nprocs - 1);
   if (transport == "shm") {
     cfg.delivery = DeliveryStrategy::Shm;
-    cfg.shm_rank = r;
     if (const char* name = std::getenv("GBSP_SHM_NAME")) cfg.shm_name = name;
   } else {
     cfg.delivery = DeliveryStrategy::Tcp;
-    cfg.tcp_rank = r;
     if (const char* host = std::getenv("GBSP_HOST")) cfg.tcp_host = host;
     if (const char* port = std::getenv("GBSP_PORT")) {
       cfg.tcp_port = env_int("GBSP_PORT", port, 1, 65535);
@@ -138,8 +138,6 @@ bool configure_proc_from_env(Config& cfg) {
   }
   return true;
 }
-
-bool configure_tcp_from_env(Config& cfg) { return configure_proc_from_env(cfg); }
 
 namespace detail {
 

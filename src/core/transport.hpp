@@ -10,8 +10,10 @@
 //     swap at the boundary — the shared-memory realisation.
 //   * EagerTransport (core/transport_eager.hpp): the paper's Appendix B.1
 //     alternating input buffers with chunk-granularity locking.
-//   * SocketTransport (core/transport_socket.hpp): the paper's Appendix B.3
-//     rigid (p-1)-stage total exchange over real loopback sockets.
+//   * StagedTransport (core/transport_staged.hpp): the paper's Appendix B.3
+//     rigid (p-1)-stage total exchange over a Mesh — in-process loopback
+//     socketpairs (socket), or, one rank per OS process, TCP streams (tcp)
+//     or shared-memory rings (shm).
 //
 // Arena ownership: transports own every message arena. WorkerState carries
 // only the inbox *views*; the bytes behind them live in a transport-owned
@@ -69,23 +71,28 @@ struct BspTransportError : std::runtime_error {
 /// Message-movement strategy. One Transport instance serves one Runtime for
 /// its whole lifetime; per-run state is rebuilt by reset_run().
 ///
+/// Every superstep boundary — a rigid sync() or a split-phase
+/// sync_begin()/sync_end() pair — runs the same sequence: begin_exchange(),
+/// an overlap window (empty for sync()) with optional progress() calls, then
+/// finish_exchange(). In Serialized mode flush() replaces begin_exchange()
+/// and one exchange() call replaces every finish_exchange().
+///
 /// Concurrency contract (the seam's locking rules):
-///  * stage_send() and flush() are called by the owning worker's thread only,
-///    with `st` being that worker's own state.
-///  * deliver_to() in Parallel mode is called concurrently, one call per
-///    worker. For barrier transports (needs_boundary_barriers() == true) the
-///    calls run strictly between the two boundary barriers, when no worker
-///    is sending — implementations may therefore read *any* worker's
+///  * stage_reserve(), flush(), begin_exchange() and progress() are called by
+///    the owning worker's thread only, with `st` being that worker's own
+///    state.
+///  * finish_exchange() in Parallel mode is called concurrently, one call
+///    per worker. For barrier transports (needs_boundary_barriers() == true)
+///    the calls run strictly between the two boundary barriers, when no
+///    worker is sending — implementations may therefore read *any* worker's
 ///    sender-side arenas without locks, but may mutate only state belonging
-///    to `dst`. For self-synchronising transports (socket) there is no
-///    global quiescent point: deliver_to() may touch only dst's own state
-///    and dst's endpoints, and must tolerate peers that are still computing.
-///  * exchange() replaces deliver_to() in Serialized mode. It is invoked by
-///    the SerialScheduler from whichever worker thread completes the round,
-///    with the scheduler lock held — effectively single-threaded, never
-///    concurrent with stage_send()/flush()/deliver_to(). (This documents the
-///    contract that Runtime::exchange_all() used to claim imprecisely as
-///    "runs single-threaded".)
+///    to `st`. For self-synchronising transports (the staged ones) there is
+///    no global quiescent point: every boundary call may touch only st's own
+///    state and st's endpoints, and must tolerate peers that are still
+///    computing.
+///  * exchange() is invoked by the SerialScheduler from whichever worker
+///    thread completes the round, with the scheduler lock held — effectively
+///    single-threaded, never concurrent with any other call.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -111,46 +118,28 @@ class Transport {
   virtual void reset_run(
       const std::vector<std::unique_ptr<detail::WorkerState>>& states) = 0;
 
-  /// Stages `n` bytes from `st` (the sending worker) to `dest`: appends a
-  /// frame to the transport's staging arena and copies the payload once.
-  /// Bumps st.seq_to[dest]. Delivered after the receiver's next sync().
-  virtual void stage_send(detail::WorkerState& st, int dest, const void* data,
-                          std::size_t n) = 0;
-
-  /// Like stage_send(), but returns the writable payload slot instead of
-  /// copying from a caller buffer: the caller builds the message in place.
-  /// This is what lets the collectives layer combine many logical payloads
-  /// into one framed message without a staging copy — `MessageArena::append`
-  /// slots are pointer-stable (slabs never move), so the returned pointer
-  /// stays valid until the message is delivered. The slot is part of the
-  /// current superstep's traffic whether or not the caller writes all of it;
-  /// same concurrency contract as stage_send().
+  /// Stages an `n`-byte message from `st` (the sending worker) to `dest`:
+  /// appends a frame to the transport's staging arena, bumps
+  /// st.seq_to[dest], and returns the writable payload slot — the caller
+  /// copies or builds the message in place (Worker::send_bytes copies once;
+  /// the collectives layer combines many logical payloads into one framed
+  /// message without a staging copy). `MessageArena::append` slots are
+  /// pointer-stable (slabs never move), so the returned pointer stays valid
+  /// until the message is delivered after the receiver's next boundary. The
+  /// slot is part of the current superstep's traffic whether or not the
+  /// caller writes all of it.
   virtual std::byte* stage_reserve(detail::WorkerState& st, int dest,
                                    std::size_t n) = 0;
 
-  /// Sender-side boundary hook, called at the top of sync() before delivery
-  /// (and before the first barrier, for barrier transports).
+  /// Sender-side boundary hook: seals `st`'s sends (before the first
+  /// barrier, for barrier transports). The whole of begin_exchange() for
+  /// transports without incremental progress.
   virtual void flush(detail::WorkerState& st) = 0;
-
-  /// Delivers everything sent to `dst` during the ended superstep: rebuilds
-  /// dst.inbox with views, valid until dst's next sync(), and charges
-  /// dst.pending_recv_* (Config::collect_stats). See the class comment for
-  /// the concurrency contract.
-  virtual void deliver_to(detail::WorkerState& dst) = 0;
-
-  // --- Split-phase boundary (Worker::sync_begin()/sync_end()). The default
-  // implementations map the split pair onto today's flush()+deliver_to(), so
-  // transports without incremental progress stay behavior-identical to a
-  // rigid sync(): all message movement happens at finish_exchange(), under
-  // the same barrier placement. Transports with real overlap (socket)
-  // override all three. Each call runs on the owning worker's thread with
-  // `st` being that worker's own state, and may touch only what deliver_to()
-  // may touch for a self-synchronising transport — the caller computes on
-  // local data concurrently with peers' exchanges either way.
 
   /// Seals `st`'s sending side and starts its boundary exchange. After this
   /// call the worker must not send until the matching finish_exchange()
   /// (enforced by the runtime); its previous inbox views are invalidated.
+  /// Transports with real overlap (the staged ones) start moving bytes here.
   virtual void begin_exchange(detail::WorkerState& st) { flush(st); }
 
   /// Opportunistic progress inside the overlap window: moves whatever bytes
@@ -162,10 +151,12 @@ class Transport {
     return false;
   }
 
-  /// Completes `st`'s boundary exchange and publishes the new inbox views —
-  /// the delivery half of the split pair. For barrier transports the runtime
-  /// brackets this with the same two barriers as a rigid sync().
-  virtual void finish_exchange(detail::WorkerState& st) { deliver_to(st); }
+  /// Completes `st`'s boundary exchange and delivers everything sent to it
+  /// during the ended superstep: rebuilds st.inbox with views, valid until
+  /// st's next boundary, and charges st.pending_recv_*
+  /// (Config::collect_stats). For barrier transports the runtime brackets
+  /// this with the two boundary barriers.
+  virtual void finish_exchange(detail::WorkerState& st) = 0;
 
   /// Serialized-mode global exchange: delivers for every worker in one call
   /// (single-threaded; see the class comment). Finished workers still
@@ -185,7 +176,7 @@ class Transport {
 };
 
 /// Human-readable transport name for a strategy ("deferred", "eager",
-/// "socket").
+/// "socket", "tcp", "shm").
 [[nodiscard]] const char* to_string(DeliveryStrategy d);
 
 /// Parses a --transport flag value; throws std::invalid_argument on unknown
@@ -193,19 +184,16 @@ class Transport {
 [[nodiscard]] DeliveryStrategy delivery_from_string(const std::string& s);
 
 /// Applies the bsp_launch rank environment to `cfg`: GBSP_RANK + GBSP_NPROCS
-/// select process mode; GBSP_TRANSPORT (tcp when absent) picks the
-/// cross-process transport and routes the rank into tcp_rank or shm_rank;
-/// GBSP_HOST / GBSP_PORT / GBSP_SHM_NAME / GBSP_CONNECT_TIMEOUT_MS fill the
-/// transport's knobs. Returns false — leaving cfg untouched — when GBSP_RANK
-/// is absent (not launched by bsp_launch); throws std::invalid_argument on a
-/// malformed environment.
+/// select process mode and set Config::rank; GBSP_TRANSPORT (tcp when
+/// absent) picks the cross-process transport; GBSP_HOST / GBSP_PORT /
+/// GBSP_SHM_NAME / GBSP_CONNECT_TIMEOUT_MS fill the transport's knobs.
+/// Returns false — leaving cfg untouched — when GBSP_RANK is absent (not
+/// launched by bsp_launch); throws std::invalid_argument on a malformed
+/// environment.
 bool configure_proc_from_env(Config& cfg);
 
-/// Old name of configure_proc_from_env, kept for existing callers; identical
-/// behavior (including GBSP_TRANSPORT=shm).
-bool configure_tcp_from_env(Config& cfg);
-
-/// Builds the Transport for cfg.delivery. `pool` must outlive the transport
+/// Builds the Transport for cfg.delivery (for the staged ones, over the
+/// mesh the strategy names). `pool` must outlive the transport
 /// (it backs every arena); `abort_flag` is the runtime's shared abort flag,
 /// polled by blocking transports so peer failure unwinds instead of hanging.
 std::unique_ptr<Transport> make_transport(const Config& cfg, SlabPool& pool,
@@ -221,14 +209,14 @@ class TransportBase : public Transport {
                 const std::atomic<bool>* abort_flag)
       : cfg_(cfg), pool_(&pool), abort_(abort_flag) {}
 
-  /// Default Serialized-mode exchange: deliver to each unfinished worker in
-  /// pid order. Transports whose wire protocol involves finished workers
-  /// (socket) override this.
+  /// Default Serialized-mode exchange: finish each unfinished worker's
+  /// boundary in pid order. Transports whose wire protocol involves finished
+  /// workers (the staged ones) override this.
   void exchange(
       const std::vector<std::unique_ptr<WorkerState>>& states) override {
     for (const auto& st : states) {
       if (st->finished) continue;
-      deliver_to(*st);
+      finish_exchange(*st);
     }
   }
 

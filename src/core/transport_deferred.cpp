@@ -1,7 +1,5 @@
 #include "core/transport_deferred.hpp"
 
-#include <cstring>
-
 namespace gbsp {
 
 void DeferredTransport::reset_run(
@@ -22,12 +20,6 @@ void DeferredTransport::reset_run(
   }
 }
 
-void DeferredTransport::stage_send(detail::WorkerState& st, int dest,
-                                   const void* data, std::size_t n) {
-  std::byte* slot = stage_reserve(st, dest, n);
-  if (n != 0) std::memcpy(slot, data, n);
-}
-
 std::byte* DeferredTransport::stage_reserve(detail::WorkerState& st, int dest,
                                             std::size_t n) {
   const std::size_t d = static_cast<std::size_t>(dest);
@@ -43,7 +35,7 @@ void DeferredTransport::flush(detail::WorkerState& st) {
   inject_boundary_fault(FaultSite::Flush, st);
 }
 
-void DeferredTransport::deliver_to(detail::WorkerState& dst) {
+void DeferredTransport::finish_exchange(detail::WorkerState& dst) {
   inject_boundary_fault(FaultSite::Deliver, dst);
   dst.inbox.clear();
   dst.inbox_cursor = 0;

@@ -1,7 +1,5 @@
 #include "core/transport_eager.hpp"
 
-#include <cstring>
-
 namespace gbsp {
 
 void EagerTransport::reset_run(
@@ -20,12 +18,6 @@ void EagerTransport::reset_run(
     pw->dirty.reserve(p);
     per_.push_back(std::move(pw));
   }
-}
-
-void EagerTransport::stage_send(detail::WorkerState& st, int dest,
-                                const void* data, std::size_t n) {
-  std::byte* slot = stage_reserve(st, dest, n);
-  if (n != 0) std::memcpy(slot, data, n);
 }
 
 std::byte* EagerTransport::stage_reserve(detail::WorkerState& st, int dest,
@@ -77,7 +69,7 @@ void EagerTransport::flush(detail::WorkerState& st) {
   pw.dirty.clear();
 }
 
-void EagerTransport::deliver_to(detail::WorkerState& dst) {
+void EagerTransport::finish_exchange(detail::WorkerState& dst) {
   inject_boundary_fault(FaultSite::Deliver, dst);
   dst.inbox.clear();
   dst.inbox_cursor = 0;

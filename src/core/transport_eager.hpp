@@ -29,12 +29,10 @@ class EagerTransport final : public detail::TransportBase {
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;
-  void stage_send(detail::WorkerState& st, int dest, const void* data,
-                  std::size_t n) override;
   std::byte* stage_reserve(detail::WorkerState& st, int dest,
                            std::size_t n) override;
   void flush(detail::WorkerState& st) override;
-  void deliver_to(detail::WorkerState& dst) override;
+  void finish_exchange(detail::WorkerState& dst) override;
   [[nodiscard]] bool has_unflushed(
       const detail::WorkerState& st) const override;
 

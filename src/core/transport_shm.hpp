@@ -1,78 +1,12 @@
-// Shared-memory transport: the cross-process exchange with the kernel taken
-// off the data path — the third composition of the mesh/engine split:
-//
-//   * ShmMesh (core/mesh.hpp): this process is exactly one rank
-//     (Config::shm_rank) of an nprocs-process run on ONE host. Each ordered
-//     rank pair shares an mmap'd memfd segment holding two SPSC byte rings
-//     and a zero-copy payload slab (core/shm_ring.hpp), fd-passed over an
-//     abstract AF_UNIX bootstrap handshake (normally under tools/bsp_launch
-//     --transport shm). The bootstrap streams stay open as per-peer control
-//     channels: their only post-bootstrap traffic is EOF, the peer-death
-//     signal.
-//   * ExchangeEngine (core/exchange_engine.hpp), attached to the local rank:
-//     the identical v2 sectioned wire format and rigid (p-1)-stage schedule,
-//     with both pumps swapped onto ring memcpys. Steady state makes zero
-//     syscalls (wire_syscalls reads 0); payloads >= shm_inline_threshold
-//     travel zero-copy through the slab, and publish() re-points their inbox
-//     views at the shared mapping itself (ExchangeEngine::apply_zc_views).
-//
-// Everything else matches TcpTransport: one local worker (pid == shm_rank),
-// the exchange is the synchronisation, peer death throws BspTransportError
-// and marks the mesh dirty so the next run re-enters the bootstrap,
-// checkpoint resume degrades to whole-run replay, and Serialized scheduling
-// is rejected by validate_config.
+// Old header of the staged transport over the shared-memory mesh. Kept,
+// declaration-only, because perfbench/ includes it and casts to
+// ShmTransport; new code includes core/transport_staged.hpp.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
-#include "core/exchange_engine.hpp"
-#include "core/mesh.hpp"
-#include "core/transport.hpp"
+#include "core/transport_staged.hpp"
 
 namespace gbsp {
 
-class ShmTransport final : public detail::TransportBase {
- public:
-  ShmTransport(const Config& cfg, SlabPool& pool,
-               const std::atomic<bool>* abort_flag)
-      : TransportBase(cfg, pool, abort_flag), mesh_(cfg) {}
-
-  [[nodiscard]] const char* name() const override { return "shm"; }
-  [[nodiscard]] bool needs_boundary_barriers() const override { return false; }
-  [[nodiscard]] bool steady_state_zero_alloc() const override { return false; }
-
-  void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
-                     states) override;
-  void stage_send(detail::WorkerState& st, int dest, const void* data,
-                  std::size_t n) override;
-  std::byte* stage_reserve(detail::WorkerState& st, int dest,
-                           std::size_t n) override;
-  void flush(detail::WorkerState& st) override {
-    inject_boundary_fault(FaultSite::Flush, st);
-  }
-  void deliver_to(detail::WorkerState& dst) override;
-  void begin_exchange(detail::WorkerState& st) override;
-  bool progress(detail::WorkerState& st) override;
-  void finish_exchange(detail::WorkerState& st) override;
-  void exchange(const std::vector<std::unique_ptr<detail::WorkerState>>&
-                    states) override;
-  [[nodiscard]] bool has_unflushed(
-      const detail::WorkerState& st) const override;
-
-  /// How many times the shm mesh has been bootstrapped (same reuse contract
-  /// as TcpTransport::debug_mesh_builds: clean runs keep it flat).
-  [[nodiscard]] std::uint64_t debug_mesh_builds() const {
-    return mesh_.builds();
-  }
-
- private:
-  void publish(detail::WorkerState& dst);
-
-  detail::ShmMesh mesh_;
-  // The one engine of the one local rank (unique_ptr: an engine must never
-  // relocate — its StageState can point into its own scratch).
-  std::unique_ptr<detail::ExchangeEngine> eng_;
-};
+using ShmTransport = StagedTransport;
 
 }  // namespace gbsp

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
@@ -136,15 +137,31 @@ TEST(ConfigValidation, RejectsOverflowableSocketFrameCap) {
   EXPECT_NO_THROW(Runtime rt(cfg));
 }
 
-// --- TCP knob validation (the knobs bsp_launch's environment feeds). The
-// Runtime must reject a bad rank topology at construction, long before the
-// mesh bootstrap would hang trying to realise it.
+// --- Process-mode knob validation (the knobs bsp_launch's environment
+// feeds). The Runtime must reject a bad rank topology at construction, long
+// before the mesh bootstrap would hang trying to realise it. Config::rank
+// serves both process-mode meshes, so its rows run once per mesh.
+
+void expect_rank_outside_run_rejected(const Config& valid) {
+  for (int r : {-1, valid.nprocs, 100}) {
+    Config cfg = valid;
+    cfg.rank = r;
+    try {
+      Runtime rt(cfg);
+      ADD_FAILURE() << "rank " << r << " of " << valid.nprocs << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rank must be in [0, nprocs)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 Config valid_tcp() {
   Config cfg;
   cfg.nprocs = 4;
   cfg.delivery = DeliveryStrategy::Tcp;
-  cfg.tcp_rank = 2;
+  cfg.rank = 2;
   return cfg;
 }
 
@@ -161,11 +178,7 @@ TEST(TcpConfigValidation, RejectsSerializedScheduling) {
 }
 
 TEST(TcpConfigValidation, RejectsRankOutsideRun) {
-  for (int r : {-1, 4, 100}) {
-    Config cfg = valid_tcp();
-    cfg.tcp_rank = r;
-    EXPECT_THROW(Runtime rt(cfg), std::invalid_argument) << r;
-  }
+  expect_rank_outside_run_rejected(valid_tcp());
 }
 
 TEST(TcpConfigValidation, RejectsMalformedHost) {
@@ -202,10 +215,11 @@ TEST(TcpConfigValidation, RejectsOutOfRangeConnectTimeout) {
 }
 
 TEST(TcpConfigValidation, KnobsIgnoredOffTcp) {
-  // The tcp_* knobs gate only the tcp transport; an unrelated delivery mode
-  // must not reject a config that happens to carry stale values.
+  // The tcp_* knobs (and the process-mode rank) gate only the tcp
+  // transport; an unrelated delivery mode must not reject a config that
+  // happens to carry stale values.
   Config cfg = valid_base();
-  cfg.tcp_rank = -7;
+  cfg.rank = -7;
   cfg.tcp_host = "not a host";
   cfg.tcp_port = 0;
   EXPECT_NO_THROW(Runtime rt(cfg));
@@ -219,7 +233,7 @@ Config valid_shm() {
   Config cfg;
   cfg.nprocs = 4;
   cfg.delivery = DeliveryStrategy::Shm;
-  cfg.shm_rank = 2;
+  cfg.rank = 2;
   cfg.shm_name = "cfgtest";
   return cfg;
 }
@@ -235,11 +249,7 @@ TEST(ShmConfigValidation, RejectsSerializedScheduling) {
 }
 
 TEST(ShmConfigValidation, RejectsRankOutsideRun) {
-  for (int r : {-1, 4, 100}) {
-    Config cfg = valid_shm();
-    cfg.shm_rank = r;
-    EXPECT_THROW(Runtime rt(cfg), std::invalid_argument) << r;
-  }
+  expect_rank_outside_run_rejected(valid_shm());
 }
 
 TEST(ShmConfigValidation, RejectsMalformedSegmentName) {
@@ -290,10 +300,10 @@ TEST(ShmConfigValidation, RejectsTinyInlineThreshold) {
 }
 
 TEST(ShmConfigValidation, KnobsIgnoredOffShm) {
-  // Like tcp_*, the shm_* knobs gate only the shm transport; stale values
-  // must not poison an in-memory run.
+  // Like tcp_*, the shm_* knobs (and the process-mode rank) gate only the
+  // shm transport; stale values must not poison an in-memory run.
   Config cfg = valid_base();
-  cfg.shm_rank = -7;
+  cfg.rank = -7;
   cfg.shm_name = "not / a name";
   cfg.shm_ring_bytes = 1;
   cfg.shm_slab_bytes = 1;

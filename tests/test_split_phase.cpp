@@ -398,7 +398,7 @@ TEST(SplitPhaseShm, SplitWindowMatchesRigidAcrossRanks) {
         Config cfg;
         cfg.nprocs = p;
         cfg.delivery = DeliveryStrategy::Shm;
-        cfg.shm_rank = r;
+        cfg.rank = r;
         cfg.shm_name = name;
         cfg.deterministic_delivery = true;
         cfg.collect_stats = true;

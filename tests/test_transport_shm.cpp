@@ -1,18 +1,21 @@
-// The cross-process shared-memory transport, exercised inside ONE test
-// process: abstract AF_UNIX sockets and memfd mappings do not care that the
-// p ranks are threads rather than processes, so each "rank" here is a
-// thread owning its own rank-r Config, ShmMesh/Runtime, and slice of a
-// per-test segment name — exactly what p bsp_launch children would own.
+// The staged transport over the cross-process shared-memory mesh, exercised
+// inside ONE test process: abstract AF_UNIX sockets and memfd mappings do
+// not care that the p ranks are threads rather than processes, so each
+// "rank" here is a thread owning its own rank-r Config, ShmMesh/Runtime, and
+// slice of a per-test segment name — exactly what p bsp_launch children
+// would own.
 // (The true multi-process path is covered by scripts/run_proc_smoke.sh,
 // which drives the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build with fd-passed pair
-// segments, the failure matrix — fd-pass death, geometry mismatches, rank
-// collisions — each with its descriptive BspTransportError), the
-// end-to-end Runtime exchange across ranks, mesh reuse across clean runs,
-// peer death mid-stage surfacing through the control channel, and the
-// zero-copy slab path (threshold routing, stats, epoch recycling, the
-// reuse-after-recycle guard's inline fallback).
+// segments, the failure matrix — handshake fields, fd-pass death, geometry
+// mismatches, rank collisions — each with its descriptive
+// BspTransportError), the end-to-end Runtime exchange across ranks, mesh
+// reuse across clean runs, peer death mid-stage surfacing through the
+// control channel (and a peer's clean end-of-run teardown NOT surfacing as
+// one), and the zero-copy slab path (threshold routing, stats, epoch
+// recycling, the reuse-after-recycle guard's inline fallback). The rows
+// shared with the other meshes live in staged_rows.hpp.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -22,8 +25,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
-#include <functional>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,8 @@
 #include "core/runtime.hpp"
 #include "core/shm_ring.hpp"
 #include "core/transport.hpp"
-#include "core/transport_shm.hpp"
+#include "core/transport_staged.hpp"
+#include "staged_rows.hpp"
 
 namespace gbsp {
 namespace {
@@ -48,32 +50,13 @@ Config rank_cfg(int rank, int nprocs, const std::string& name) {
   Config cfg;
   cfg.nprocs = nprocs;
   cfg.delivery = DeliveryStrategy::Shm;
-  cfg.shm_rank = rank;
+  cfg.rank = rank;
   cfg.shm_name = name;
   cfg.collect_stats = true;
   return cfg;
 }
 
-// Runs fn(rank) on one thread per rank and rethrows the first failure after
-// every thread has joined (a bootstrap error on one rank typically also
-// unblocks/errors the others; joining first keeps the test deterministic).
-void on_ranks(int nprocs, const std::function<void(int)>& fn) {
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        fn(r);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
+using staged_rows::on_ranks;
 
 // A raw AF_UNIX client for impersonating a (broken) peer during bootstrap:
 // dials `rank`'s abstract listener for segment namespace `name`.
@@ -355,6 +338,28 @@ TEST(ShmMeshBootstrap, SegmentSizeMismatchIsDescriptive) {
   rank0.join();
 }
 
+// The handshake matrix, one row per field, as on the tcp mesh.
+void expect_bad_hello_rejected(int slot, staged_rows::BadHello bad) {
+  const std::string name = seg_name(slot);
+  Config cfg = rank_cfg(0, 2, name);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  detail::ShmMesh mesh(cfg);
+  staged_rows::expect_bad_hello_rejected(
+      mesh, [&name] { return dial(name, 0); }, bad);
+}
+
+TEST(ShmMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
+  expect_bad_hello_rejected(13, staged_rows::BadHello::Version);
+}
+
+TEST(ShmMeshBootstrap, HandshakeRankMismatchIsDescriptive) {
+  expect_bad_hello_rejected(14, staged_rows::BadHello::Rank);
+}
+
+TEST(ShmMeshBootstrap, HandshakeNprocsMismatchIsDescriptive) {
+  expect_bad_hello_rejected(15, staged_rows::BadHello::Nprocs);
+}
+
 TEST(ShmMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
   const std::string name = seg_name(6);
   std::thread fake_peer([&] {
@@ -424,25 +429,9 @@ TEST(ShmRuntime, AllToAllAcrossRanks) {
 }
 
 TEST(ShmRuntime, CleanRunsReuseTheMesh) {
-  const int p = 2;
   const std::string name = seg_name(8);
-  on_ranks(p, [&](int r) {
-    Runtime rt(rank_cfg(r, p, name));
-    auto program = [](Worker& w) {
-      w.send(1 - w.pid(), w.pid());
-      w.sync();
-      if (w.get_message() == nullptr) {
-        throw std::logic_error("shm: missing message");
-      }
-    };
-    rt.run(program);
-    rt.run(program);
-    rt.run(program);
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
-    ASSERT_NE(shm, nullptr);
-    EXPECT_EQ(shm->debug_mesh_builds(), 1u)
-        << "clean runs must reuse the bootstrapped mesh";
-  });
+  staged_rows::clean_runs_reuse_the_mesh(
+      [&name](int r) { return rank_cfg(r, 2, name); });
 }
 
 TEST(ShmRuntime, LargeFramesCrossTheSlab) {
@@ -546,57 +535,56 @@ TEST(ShmRuntime, ZeroCopyEpochsRecycleAndGuardReuse) {
 }
 
 TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
-  // Phase 1: both ranks run clean. Phase 2: rank 1's process "dies" (its
-  // Runtime is destroyed, closing its control endpoints); rank 0's next
-  // exchange must surface BspTransportError via the control-channel death
-  // probe, not hang. Phase 3: a fresh rank-1 incarnation appears and rank
-  // 0's SAME Runtime — wire marked dirty by the failure — rebuilds the
-  // mesh (new segments, new epoch space) and completes.
+  // Peer death shows as EOF on the control channel, seen by the idle-path
+  // probe; the rebuild maps new segments with a new epoch space.
   const std::string name = seg_name(11);
-  std::promise<void> rank1_dead;
-  std::promise<void> rank0_failed;
-  auto ping = [](Worker& w) {
-    w.send(1 - w.pid(), 7);
-    w.sync();
-    if (w.get_message() == nullptr) {
-      throw std::logic_error("shm: missing message");
-    }
-  };
+  staged_rows::peer_death_surfaces_and_mesh_rebuilds(
+      [&name](int r) { return rank_cfg(r, 2, name); });
+}
 
-  std::thread rank0([&] {
-    Config cfg = rank_cfg(0, 2, name);
-    cfg.socket_stage_timeout_ms = 20'000;
+TEST(ShmRuntime, PeerTeardownAfterItsLastStageIsNotADeath) {
+  // End-of-run teardown race: rank 1 writes its whole last stage into the
+  // ring, finishes its run and destroys its Runtime while rank 0 still
+  // waits inside that stage. EOF on the control channel then reaches rank
+  // 0's idle-path probe before rank 0 has drained the ring; the stage can
+  // still complete, so rank 0 must drain it instead of reporting a death.
+  // The fault plan pins that interleaving on rank 0: its recv pumps see
+  // EAGAIN up to and including the one after its first idle wait, and that
+  // wait stalls 200 ms — long enough for rank 1 to finish and tear down.
+  const std::string name = seg_name(12);
+  on_ranks(2, [&](int r) {
+    Config cfg = rank_cfg(r, 2, name);
+    if (r == 0) cfg.socket_spin_us = 0;
     Runtime rt(cfg);
-    rt.run(ping);  // phase 1
-    rank1_dead.get_future().wait();
-    try {
-      rt.run(ping);  // phase 2: peer is gone
-      FAIL() << "exchange against a dead peer must throw";
-    } catch (const BspTransportError&) {
-      // expected: EOF on the control channel, wire now dirty
+    if (r == 0) {
+      FaultRule eagain;
+      eagain.site = FaultSite::RecvCall;
+      eagain.kind = FaultKind::Eagain;
+      eagain.rank = 0;
+      eagain.count = 4;
+      FaultRule stall;
+      stall.site = FaultSite::PollCall;
+      stall.kind = FaultKind::DelayUs;
+      stall.rank = 0;
+      stall.arg = 200'000;
+      FaultPlan plan;
+      plan.rules = {eagain, stall};
+      rt.set_fault_plan(plan);
     }
-    rank0_failed.set_value();
-    rt.run(ping);  // phase 3: rebuild against the new incarnation
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
-    ASSERT_NE(shm, nullptr);
-    EXPECT_EQ(shm->debug_mesh_builds(), 2u)
-        << "the failed run must force exactly one mesh rebuild";
-  });
-
-  std::thread rank1([&] {
-    {
-      Runtime rt(rank_cfg(1, 2, name));
-      rt.run(ping);  // phase 1
-    }  // Runtime destroyed: endpoints closed, "process death"
-    rank1_dead.set_value();
-    rank0_failed.get_future().wait();
-    Config cfg = rank_cfg(1, 2, name);
-    cfg.tcp_connect_timeout_ms = 20'000;
-    Runtime rt(cfg);
-    rt.run(ping);  // phase 3
-  });
-  rank0.join();
-  rank1.join();
+    rt.run([](Worker& w) {
+      if (w.pid() == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        w.send(0, 7);
+      }
+      w.sync();
+      if (w.pid() == 0) {
+        const Message* m = w.get_message();
+        if (m == nullptr || m->as<int>() != 7) {
+          throw std::logic_error("shm: rank 1's last stage was lost");
+        }
+      }
+    });
+  });  // each rank's Runtime dies with its thread
 }
 
 }  // namespace

@@ -16,7 +16,8 @@
 
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
-#include "core/transport_socket.hpp"
+#include "core/transport_staged.hpp"
+#include "staged_rows.hpp"
 
 namespace gbsp {
 namespace {
@@ -193,7 +194,7 @@ TEST(SocketFaultInjection, KilledEndpointsSurfaceAsTransportError) {
   // Hard-close one worker's endpoints mid-run, as if its process died: the
   // peer observes EOF on the shared stream and diagnoses it.
   Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<StagedTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   EXPECT_THROW(rt.run([&](Worker& w) {
                  if (w.pid() == 0) {
@@ -247,24 +248,9 @@ TEST(SocketFaultInjection, RuntimeIsReusableAfterAFailedRun) {
 }
 
 TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
-  // A run whose every exchange completed leaves every stream drained, so
-  // consecutive run() calls keep the same socketpair mesh instead of
-  // rebuilding it.
-  Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
-  ASSERT_NE(sock, nullptr);
-  auto program = [](Worker& w) {
-    w.send(1 - w.pid(), w.pid() + 10);
-    w.sync();
-    const Message* m = w.get_message();
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->as<int>(), (1 - w.pid()) + 10);
-  };
-  rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
-  rt.run(program);
-  rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u) << "clean runs must reuse";
+  // The socketpair row of the shared reuse property (staged_rows.hpp).
+  staged_rows::clean_runs_reuse_the_mesh(
+      [](int) { return socket_config(2); });
 }
 
 TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
@@ -275,26 +261,18 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   cfg.socket_stage_timeout_ms = 200;
   cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
-  ASSERT_NE(sock, nullptr);
+  StagedTransport& sock = staged_rows::staged(rt);
   EXPECT_THROW(rt.run([](Worker& w) {
                  w.send(1 - w.pid(), 1);
                  w.sync();
                  if (w.pid() == 1) w.sync();  // wedge -> timeout
                }),
                BspTransportError);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
-  auto clean = [](Worker& w) {
-    w.send(1 - w.pid(), 7);
-    w.sync();
-    const Message* m = w.get_message();
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->as<int>(), 7);
-  };
-  rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "dirty wire must rebuild";
-  rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "clean again: reuse resumes";
+  EXPECT_EQ(sock.debug_mesh_builds(), 1u);
+  rt.run(staged_rows::ping(7));
+  EXPECT_EQ(sock.debug_mesh_builds(), 2u) << "dirty wire must rebuild";
+  rt.run(staged_rows::ping(7));
+  EXPECT_EQ(sock.debug_mesh_builds(), 2u) << "clean again: reuse resumes";
 }
 
 // --------------------------------------------------------- stream corruption
@@ -315,8 +293,8 @@ void inject_bytes(int fd, const void* data, std::size_t n) {
 std::string garbled_stream_error(Config cfg,
                                  const std::vector<std::uint8_t>& garbage) {
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
-  if (sock == nullptr) return "not a socket transport";
+  auto* sock = dynamic_cast<StagedTransport*>(&rt.transport());
+  if (sock == nullptr) return "not a staged transport";
   try {
     rt.run([&](Worker& w) {
       if (w.pid() == 0) {

@@ -1,14 +1,15 @@
-// The cross-process TCP transport, exercised inside ONE test process: TCP
-// over loopback does not care that the p ranks are threads rather than
-// processes, so each "rank" here is a thread owning its own rank-r Config,
-// TcpMesh/Runtime, and port — exactly what p bsp_launch children would own.
-// (The true multi-process path is covered by scripts/run_tcp_smoke.sh,
-// which drives the real launcher.)
+// The staged transport over the cross-process TCP mesh, exercised inside ONE
+// test process: TCP over loopback does not care that the p ranks are threads
+// rather than processes, so each "rank" here is a thread owning its own
+// rank-r Config, TcpMesh/Runtime, and port — exactly what p bsp_launch
+// children would own. (The true multi-process path is covered by
+// scripts/run_tcp_smoke.sh, which drives the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build, every failure mode
 // with its descriptive BspTransportError, reusability after failure), the
 // end-to-end Runtime exchange across ranks, mesh reuse across clean runs,
-// and peer death surfacing as BspTransportError + wire-dirty rebuild.
+// and peer death surfacing as BspTransportError + wire-dirty rebuild. The
+// rows shared with the other meshes live in staged_rows.hpp.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,7 +19,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +26,8 @@
 #include "core/mesh.hpp"
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
-#include "core/transport_tcp.hpp"
+#include "core/transport_staged.hpp"
+#include "staged_rows.hpp"
 
 namespace gbsp {
 namespace {
@@ -42,32 +43,13 @@ Config rank_cfg(int rank, int nprocs, int port) {
   Config cfg;
   cfg.nprocs = nprocs;
   cfg.delivery = DeliveryStrategy::Tcp;
-  cfg.tcp_rank = rank;
+  cfg.rank = rank;
   cfg.tcp_port = port;
   cfg.collect_stats = true;
   return cfg;
 }
 
-// Runs fn(rank) on one thread per rank and rethrows the first failure after
-// every thread has joined (a bootstrap error on one rank typically also
-// unblocks/errors the others; joining first keeps the test deterministic).
-void on_ranks(int nprocs, const std::function<void(int)>& fn) {
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        fn(r);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
+using staged_rows::on_ranks;
 
 // A raw TCP client for impersonating a (broken) peer during bootstrap.
 int dial(int port) {
@@ -224,92 +206,26 @@ TEST(TcpMeshBootstrap, PartialAcceptTimesOutDescriptively) {
   half_peer.join();
 }
 
-TEST(TcpMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
-  const int base = port_base(4);
-  std::promise<void> listener_up;
-  std::thread fake_peer([&] {
-    listener_up.get_future().wait();
-    const int fd = dial(base);
-    detail::RankHello h;
-    h.version = 99;  // wrong protocol version, correct magic
-    h.rank = 1;
-    h.nprocs = 2;
-    ASSERT_EQ(::send(fd, &h, sizeof(h), 0),
-              static_cast<ssize_t>(sizeof(h)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);  // wait for the close
-    ::close(fd);
-  });
+// The handshake matrix, one row per field; the shm mesh runs the same rows.
+void expect_bad_hello_rejected(int slot, staged_rows::BadHello bad) {
+  const int base = port_base(slot);
   Config cfg = rank_cfg(0, 2, base);
   cfg.tcp_connect_timeout_ms = 5'000;
   detail::TcpMesh mesh(cfg);
-  listener_up.set_value();  // racy-but-safe: dial() retries until bound
-  try {
-    mesh.build(2);
-    FAIL() << "a v99 hello must fail the handshake";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("version mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("v99"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  staged_rows::expect_bad_hello_rejected(mesh, [base] { return dial(base); },
+                                         bad);
+}
+
+TEST(TcpMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
+  expect_bad_hello_rejected(4, staged_rows::BadHello::Version);
 }
 
 TEST(TcpMeshBootstrap, HandshakeRankMismatchIsDescriptive) {
-  const int base = port_base(5);
-  std::thread fake_peer([&] {
-    const int fd = dial(base);
-    detail::RankHello h;
-    h.rank = 7;  // far outside a 2-rank run
-    h.nprocs = 2;
-    ASSERT_EQ(::send(fd, &h, sizeof(h), 0),
-              static_cast<ssize_t>(sizeof(h)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);
-    ::close(fd);
-  });
-  Config cfg = rank_cfg(0, 2, base);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::TcpMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "a hello claiming rank 7 of 2 must fail";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 7"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  expect_bad_hello_rejected(5, staged_rows::BadHello::Rank);
 }
 
 TEST(TcpMeshBootstrap, HandshakeNprocsMismatchIsDescriptive) {
-  const int base = port_base(6);
-  std::thread fake_peer([&] {
-    const int fd = dial(base);
-    detail::RankHello h;
-    h.rank = 1;
-    h.nprocs = 8;  // launched with a different -p than us
-    ASSERT_EQ(::send(fd, &h, sizeof(h), 0),
-              static_cast<ssize_t>(sizeof(h)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);
-    ::close(fd);
-  });
-  Config cfg = rank_cfg(0, 2, base);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::TcpMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "a hello claiming an 8-rank run must fail a 2-rank build";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("nprocs mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("8 ranks"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  expect_bad_hello_rejected(6, staged_rows::BadHello::Nprocs);
 }
 
 TEST(TcpMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
@@ -413,25 +329,9 @@ TEST(TcpRuntime, AllToAllAcrossRanks) {
 }
 
 TEST(TcpRuntime, CleanRunsReuseTheMesh) {
-  const int p = 2;
   const int base = port_base(10);
-  on_ranks(p, [&](int r) {
-    Runtime rt(rank_cfg(r, p, base));
-    auto program = [](Worker& w) {
-      w.send(1 - w.pid(), w.pid());
-      w.sync();
-      if (w.get_message() == nullptr) {
-        throw std::logic_error("tcp: missing message");
-      }
-    };
-    rt.run(program);
-    rt.run(program);
-    rt.run(program);
-    auto* tcp = dynamic_cast<TcpTransport*>(&rt.transport());
-    ASSERT_NE(tcp, nullptr);
-    EXPECT_EQ(tcp->debug_mesh_builds(), 1u)
-        << "clean runs must reuse the bootstrapped mesh";
-  });
+  staged_rows::clean_runs_reuse_the_mesh(
+      [base](int r) { return rank_cfg(r, 2, base); });
 }
 
 TEST(TcpRuntime, LargeFramesCrossTheMesh) {
@@ -466,56 +366,10 @@ TEST(TcpRuntime, LargeFramesCrossTheMesh) {
 }
 
 TEST(TcpRuntime, PeerDeathSurfacesAndMeshRebuilds) {
-  // Phase 1: both ranks run clean. Phase 2: rank 1's process "dies" (its
-  // Runtime is destroyed, closing its endpoints); rank 0's next exchange
-  // must surface BspTransportError, not hang. Phase 3: a fresh rank-1
-  // incarnation appears and rank 0's SAME Runtime — wire marked dirty by
-  // the failure — rebuilds the mesh and completes.
+  // Peer death shows as EOF/ECONNRESET on the stream.
   const int base = port_base(12);
-  std::promise<void> rank1_dead;
-  std::promise<void> rank0_failed;
-  auto ping = [](Worker& w) {
-    w.send(1 - w.pid(), 7);
-    w.sync();
-    if (w.get_message() == nullptr) {
-      throw std::logic_error("tcp: missing message");
-    }
-  };
-
-  std::thread rank0([&] {
-    Config cfg = rank_cfg(0, 2, base);
-    cfg.socket_stage_timeout_ms = 20'000;
-    Runtime rt(cfg);
-    rt.run(ping);  // phase 1
-    rank1_dead.get_future().wait();
-    try {
-      rt.run(ping);  // phase 2: peer is gone
-      FAIL() << "exchange against a dead peer must throw";
-    } catch (const BspTransportError&) {
-      // expected: EOF / ECONNRESET from the dead rank, wire now dirty
-    }
-    rank0_failed.set_value();
-    rt.run(ping);  // phase 3: rebuild against the new incarnation
-    auto* tcp = dynamic_cast<TcpTransport*>(&rt.transport());
-    ASSERT_NE(tcp, nullptr);
-    EXPECT_EQ(tcp->debug_mesh_builds(), 2u)
-        << "the failed run must force exactly one mesh rebuild";
-  });
-
-  std::thread rank1([&] {
-    {
-      Runtime rt(rank_cfg(1, 2, base));
-      rt.run(ping);  // phase 1
-    }  // Runtime destroyed: endpoints closed, "process death"
-    rank1_dead.set_value();
-    rank0_failed.get_future().wait();
-    Config cfg = rank_cfg(1, 2, base);
-    cfg.tcp_connect_timeout_ms = 20'000;
-    Runtime rt(cfg);
-    rt.run(ping);  // phase 3
-  });
-  rank0.join();
-  rank1.join();
+  staged_rows::peer_death_surfaces_and_mesh_rebuilds(
+      [base](int r) { return rank_cfg(r, 2, base); });
 }
 
 TEST(TcpRuntime, RetryPathRecoversFromPeerRestart) {
@@ -524,13 +378,7 @@ TEST(TcpRuntime, RetryPathRecoversFromPeerRestart) {
   // the wire, and replay the run without the caller seeing the failure.
   const int base = port_base(13);
   std::atomic<int> rank1_phase{0};
-  auto ping = [](Worker& w) {
-    w.send(1 - w.pid(), 9);
-    w.sync();
-    if (w.get_message() == nullptr) {
-      throw std::logic_error("tcp: missing message");
-    }
-  };
+  const auto ping = staged_rows::ping(9);
 
   std::thread rank0([&] {
     Config cfg = rank_cfg(0, 2, base);
