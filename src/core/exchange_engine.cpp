@@ -157,7 +157,7 @@ std::byte* ExchangeEngine::try_reserve_zc(WorkerState& st, int dest,
                                        st.seq_to[d]++, sizeof(desc));
   std::memcpy(dslot, &desc, sizeof(desc));
   zc_out_[d].push_back(outbox_[d].message_count() - 1);
-  st.wire_zc_bytes += n;
+  st.step.wire_zc_bytes += n;
   return pv->send.slab + abs;
 }
 
@@ -203,7 +203,7 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
     }
     m.payload = ByteView{pv->recv.slab + desc.offset,
                          static_cast<std::size_t>(desc.len)};
-    dst.wire_zc_bytes += desc.len;
+    dst.step.wire_zc_bytes += desc.len;
     if (cfg_->collect_stats) {
       // append_views charged the 16 descriptor bytes; swap that for the
       // payload's true h-relation contribution.
@@ -279,7 +279,7 @@ std::optional<FaultInjector::Decision> ExchangeEngine::syscall_fault(
   ctx.peer = peer;
   auto d = inj->before_call(site, ctx);
   if (!d) return std::nullopt;
-  st.injected_faults += 1;
+  st.step.injected_faults += 1;
   switch (d->kind) {
     case FaultKind::DelayUs:
       std::this_thread::sleep_for(std::chrono::microseconds(d->arg));
@@ -317,7 +317,7 @@ void ExchangeEngine::maybe_corrupt(WorkerState& st, const StageState& ss,
   ctx.stage = ss.k;
   ctx.peer = src;
   if (const auto off = inj->corrupt_offset(FaultSite::RecvCall, ctx)) {
-    st.injected_faults += 1;
+    st.step.injected_faults += 1;
     buf[static_cast<std::size_t>(*off) % n] ^= std::byte{0xA5};
   }
 }
@@ -341,7 +341,7 @@ ssize_t ExchangeEngine::link_write(WorkerState& st, const StageState& ss,
     // Counts only calls that moved bytes: idle EAGAIN probes are a property
     // of the waiting policy, not of the wire format's syscall economy, and
     // would make the metric timing-dependent.
-    ++st.wire_syscalls;
+    ++st.step.wire_syscalls;
     return n;
   }
   if (n < 0 && errno == EINTR) return -1;
@@ -363,7 +363,7 @@ ssize_t ExchangeEngine::link_read(WorkerState& st, const StageState& ss,
   }
   const ssize_t n = ::readv(l.fd, iov, static_cast<int>(cnt));
   if (n > 0) {
-    ++st.wire_syscalls;  // like the send side: only calls that moved bytes
+    ++st.step.wire_syscalls;  // like the send side: only byte-moving calls
     return n;
   }
   if (n == 0) {
@@ -414,7 +414,7 @@ std::size_t ExchangeEngine::pump_send(WorkerState& st, StageState& ss) {
     advance_iov(send_iov_, ss.send_idx, static_cast<std::size_t>(n));
     moved += static_cast<std::size_t>(n);
     ss.send_moved += static_cast<std::uint64_t>(n);
-    st.wire_bytes += static_cast<std::uint64_t>(n);
+    st.step.wire_bytes += static_cast<std::uint64_t>(n);
   }
   return moved;
 }

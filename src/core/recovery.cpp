@@ -28,11 +28,7 @@ void RecoveryManager::checkpoint(detail::WorkerState& st) {
 
   slot.superstep = st.superstep;
   slot.seq_to = st.seq_to;
-  slot.pending_recv_packets = st.pending_recv_packets;
-  slot.pending_recv_messages = st.pending_recv_messages;
-  slot.wire_bytes = st.wire_bytes;
-  slot.wire_syscalls = st.wire_syscalls;
-  slot.injected_faults = st.injected_faults;
+  slot.step = st.step;
   slot.trace = st.trace;
   slot.inbox_cursor = st.inbox_cursor;
 
@@ -62,8 +58,8 @@ void RecoveryManager::checkpoint(detail::WorkerState& st) {
   }
 
   slot.valid = true;
-  st.checkpoint_bytes += bytes;
-  st.checkpoint_us += timer.elapsed_s() * 1e6;
+  st.step.checkpoint_bytes += bytes;
+  st.step.checkpoint_us += timer.elapsed_s() * 1e6;
 }
 
 std::int64_t RecoveryManager::latest_complete() const {
@@ -110,11 +106,7 @@ void RecoveryManager::restore(detail::WorkerState& st, std::uint64_t step) {
   }
   st.superstep = slot->superstep;
   st.seq_to = slot->seq_to;
-  st.pending_recv_packets = slot->pending_recv_packets;
-  st.pending_recv_messages = slot->pending_recv_messages;
-  st.wire_bytes = slot->wire_bytes;
-  st.wire_syscalls = slot->wire_syscalls;
-  st.injected_faults = slot->injected_faults;
+  st.step = slot->step;
   st.trace = slot->trace;
 
   st.inbox.clear();
@@ -128,7 +120,7 @@ void RecoveryManager::restore(detail::WorkerState& st, std::uint64_t step) {
   });
   st.inbox_cursor = slot->inbox_cursor;
 
-  st.restore_us += timer.elapsed_s() * 1e6;
+  st.step.restore_us += timer.elapsed_s() * 1e6;
 }
 
 void RecoveryManager::restore_region(int pid, std::uint64_t step,

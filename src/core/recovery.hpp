@@ -46,22 +46,23 @@ class RecoveryManager {
   void reset(int nprocs);
 
   /// Snapshots `st` at the current superstep cut: registered regions, the
-  /// save callback's bytes, the delivered inbox, sequence and pending-charge
-  /// counters, and the trace so far. Accrues st.checkpoint_bytes /
-  /// st.checkpoint_us (charged to the superstep being opened). Called by
-  /// st's own worker thread.
+  /// save callback's bytes, the delivered inbox, the sequence counters, the
+  /// open superstep's record (what its opening boundary charged) and the
+  /// trace so far. Accrues the snapshot's bytes and µs into
+  /// st.step.checkpoint_bytes / checkpoint_us. Called by st's own worker
+  /// thread.
   void checkpoint(detail::WorkerState& st);
 
   /// Highest superstep for which every rank holds a checkpoint, or -1 when
   /// some rank has none (recovery must replay from the start).
   [[nodiscard]] std::int64_t latest_complete() const;
 
-  /// Restores the counters, trace, and inbox of `st` from rank st.pid's
-  /// checkpoint at `step` (which must exist — see latest_complete()). Inbox
-  /// views point into the checkpoint's own arena; they remain valid until
-  /// two further checkpoints rotate the slot away, long after the first
-  /// post-resume boundary replaces them with transport-owned views. Accrues
-  /// st.restore_us.
+  /// Restores the sequence counters, open record, trace, and inbox of `st`
+  /// from rank st.pid's checkpoint at `step` (which must exist — see
+  /// latest_complete()). Inbox views point into the checkpoint's own arena;
+  /// they remain valid until two further checkpoints rotate the slot away,
+  /// long after the first post-resume boundary replaces them with
+  /// transport-owned views. Accrues st.step.restore_us.
   void restore(detail::WorkerState& st, std::uint64_t step);
 
   /// Copies the `index`-th registered region snapshot of rank `pid` at
@@ -83,11 +84,7 @@ class RecoveryManager {
     bool valid = false;
     std::uint64_t superstep = 0;
     std::vector<std::uint32_t> seq_to;
-    std::uint64_t pending_recv_packets = 0;
-    std::uint64_t pending_recv_messages = 0;
-    std::uint64_t wire_bytes = 0;
-    std::uint64_t wire_syscalls = 0;
-    std::uint64_t injected_faults = 0;
+    WorkerStepRecord step;  // the open record, before this checkpoint's cost
     std::vector<WorkerStepRecord> trace;
     MessageArena inbox;
     std::size_t inbox_cursor = 0;

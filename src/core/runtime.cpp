@@ -50,11 +50,11 @@ std::byte* Worker::stage(int dest, std::size_t n, const char* what) {
   std::byte* slot = rt_->transport_->stage_reserve(st, dest, n);
 
   const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
-  st.sent_packets += pkts;
-  st.sent_bytes += n;
-  st.sent_messages += 1;
+  st.step.sent_packets += pkts;
+  st.step.sent_bytes += n;
+  st.step.sent_messages += 1;
   if (cfg.collect_comm_matrix) {
-    st.sent_to[static_cast<std::size_t>(dest)] += pkts;
+    st.step.sent_to_packets[static_cast<std::size_t>(dest)] += pkts;
   }
   return slot;
 }
@@ -120,53 +120,11 @@ void Runtime::begin_work_slice(detail::WorkerState& st) {
   st.work_start_ns = ThreadCpuTimer::now_ns();
 }
 
-void Runtime::record_step(detail::WorkerState& st) {
-  WorkerStepRecord r;
-  r.work_us =
-      static_cast<double>(ThreadCpuTimer::now_ns() - st.work_start_ns) * 1e-3;
-  r.recv_packets = st.pending_recv_packets;
-  st.pending_recv_packets = 0;
-  r.recv_messages = st.pending_recv_messages;
-  st.pending_recv_messages = 0;
-  // Wire bytes accrue during the exchange that opened this superstep, so
-  // they are charged — like recv_packets — to the superstep being recorded.
-  r.wire_bytes = st.wire_bytes;
-  st.wire_bytes = 0;
-  r.wire_syscalls = st.wire_syscalls;
-  st.wire_syscalls = 0;
-  r.wire_zc_bytes = st.wire_zc_bytes;
-  st.wire_zc_bytes = 0;
-  r.sent_packets = st.sent_packets;
-  r.sent_bytes = st.sent_bytes;
-  r.sent_messages = st.sent_messages;
-  if (cfg_.collect_comm_matrix) {
-    r.sent_to_packets = st.sent_to;
-    std::fill(st.sent_to.begin(), st.sent_to.end(), 0);
-  }
-  // Fault/recovery accounting: faults injected during the exchange that
-  // opened this superstep, plus the cost of the checkpoint taken at its top
-  // (or of the restore that recreated it).
-  r.injected_faults = st.injected_faults;
-  st.injected_faults = 0;
-  r.checkpoint_bytes = st.checkpoint_bytes;
-  st.checkpoint_bytes = 0;
-  r.checkpoint_us = st.checkpoint_us;
-  st.checkpoint_us = 0.0;
-  r.restore_us = st.restore_us;
-  st.restore_us = 0.0;
-  // Split-phase window that opened this superstep (set by the previous
-  // do_sync_end): charged like the wire traffic it overlapped.
-  r.overlap_us = st.overlap_us;
-  st.overlap_us = 0.0;
-  r.overlap_wire_bytes = st.overlap_wire_bytes;
-  st.overlap_wire_bytes = 0;
-  st.trace.push_back(std::move(r));
-  st.sent_packets = 0;
-  st.sent_bytes = 0;
-  st.sent_messages = 0;
-}
-
 namespace {
+
+double cpu_us_since(std::int64_t start_ns) {
+  return static_cast<double>(ThreadCpuTimer::now_ns() - start_ns) * 1e-3;
+}
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -175,6 +133,15 @@ std::int64_t steady_now_ns() {
 }
 
 }  // namespace
+
+void Runtime::seal_step(detail::WorkerState& st) {
+  st.step.work_us = cpu_us_since(st.work_start_ns);
+  st.trace.push_back(std::move(st.step));
+  st.step = WorkerStepRecord{};
+  if (cfg_.collect_comm_matrix) {
+    st.step.sent_to_packets.assign(static_cast<std::size_t>(cfg_.nprocs), 0);
+  }
+}
 
 void Runtime::begin_boundary(detail::WorkerState& st) {
   if (cfg_.scheduling == Scheduling::Serialized) {
@@ -222,10 +189,10 @@ void Runtime::do_sync(detail::WorkerState& st) {
         " called sync() inside a split-phase window; use sync_end()");
   }
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  // A rigid boundary is a split pair with an empty window. Closing the
+  // A rigid boundary is a split pair with an empty window. Sealing the
   // superstep first keeps the exchange out of its work_us and charges the
-  // boundary's wire traffic to the superstep it opens.
-  record_step(st);
+  // boundary's traffic and faults to the superstep it opens.
+  seal_step(st);
   begin_boundary(st);
   end_boundary(st);
 }
@@ -237,11 +204,9 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
         " called sync_begin() twice without an intervening sync_end()");
   }
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  // Snapshot the wire counters before the transport moves anything, so
-  // sync_end can re-charge the window's traffic to the superstep the
-  // boundary opens (the rigid path's charging rule).
-  st.overlap_wire_base = st.wire_bytes;
-  st.overlap_syscall_base = st.wire_syscalls;
+  // Seal before the transport moves anything, as sync() does: the window's
+  // traffic and faults accrue to the superstep the boundary opens.
+  seal_step(st);
   // Under Serialized scheduling the window still measures the caller's
   // overlappable compute, so Serialized traces stay comparable.
   begin_boundary(st);
@@ -263,22 +228,13 @@ void Runtime::do_sync_end(detail::WorkerState& st) {
                            "sync_begin()");
   }
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  const double window_us =
+  // The window's compute belongs to the superstep it closes: re-stamp the
+  // sealed record. Everything the open record holds so far moved inside the
+  // window.
+  st.trace.back().work_us = cpu_us_since(st.work_start_ns);
+  st.step.overlap_us =
       static_cast<double>(steady_now_ns() - st.overlap_start_ns) * 1e-3;
-  // Wire traffic that moved during the window belongs — like every exchange
-  // counter — to the superstep this boundary opens. Park it below the
-  // sync_begin snapshot while record_step closes the *ending* superstep,
-  // then restore it for the next record.
-  const std::uint64_t window_wire = st.wire_bytes - st.overlap_wire_base;
-  const std::uint64_t window_calls =
-      st.wire_syscalls - st.overlap_syscall_base;
-  st.wire_bytes = st.overlap_wire_base;
-  st.wire_syscalls = st.overlap_syscall_base;
-  record_step(st);  // includes the window's compute in this step's work_us
-  st.wire_bytes = window_wire;
-  st.wire_syscalls = window_calls;
-  st.overlap_us = window_us;
-  st.overlap_wire_bytes = window_wire;
+  st.step.overlap_wire_bytes = st.step.wire_bytes;
   st.overlap_active = false;
   end_boundary(st);
 }
@@ -290,13 +246,13 @@ void Runtime::finalize_worker(detail::WorkerState& st) {
         " returned from the SPMD function inside a split-phase window "
         "(missing sync_end())");
   }
-  if (st.sent_messages != 0 || transport_->has_unflushed(st)) {
+  if (st.step.sent_messages != 0 || transport_->has_unflushed(st)) {
     throw std::logic_error(
         "gbsp: worker " + std::to_string(st.pid) +
         " sent messages after its final sync(); they can never be delivered");
   }
   // The tail slice after the last sync() is the program's final superstep.
-  record_step(st);
+  seal_step(st);
 }
 
 void Runtime::report_error(std::exception_ptr e, int pid) {
@@ -404,7 +360,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
     st->pid = process_mode() ? cfg_.rank : i;
     st->seq_to.assign(static_cast<std::size_t>(p), 0);
     if (cfg_.collect_comm_matrix) {
-      st->sent_to.assign(static_cast<std::size_t>(p), 0);
+      st->step.sent_to_packets.assign(static_cast<std::size_t>(p), 0);
     }
     // On a resume, rebuild the state to the checkpointed cut — superstep
     // counter, sequence numbers, trace, and inbox views — before the

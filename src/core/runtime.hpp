@@ -275,7 +275,9 @@ class Runtime {
   /// checkpoints, and opens the next work slice.
   void begin_boundary(detail::WorkerState& st);
   void end_boundary(detail::WorkerState& st);
-  void record_step(detail::WorkerState& st);
+  /// Closes the open superstep: stamps its work_us, moves st.step into
+  /// st.trace, and opens a fresh record.
+  void seal_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);
   void report_error(std::exception_ptr e, int pid);

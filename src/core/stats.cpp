@@ -84,7 +84,6 @@ void RunStats::aggregate_from_traces() {
   supersteps.resize(steps);
   for (std::size_t i = 0; i < steps; ++i) {
     SuperstepStats agg;
-    std::uint64_t total_recv = 0;
     for (const auto& t : traces) {
       if (i >= t.size()) continue;
       const WorkerStepRecord& r = t[i];
@@ -108,7 +107,6 @@ void RunStats::aggregate_from_traces() {
       agg.restore_max_us = std::max(agg.restore_max_us, r.restore_us);
       agg.overlap_max_us = std::max(agg.overlap_max_us, r.overlap_us);
       agg.total_overlap_wire_bytes += r.overlap_wire_bytes;
-      total_recv += r.recv_packets;
     }
     supersteps[i] = agg;
   }

@@ -11,10 +11,16 @@
 
 namespace gbsp {
 
-/// What one processor did during one superstep (recorded lock-free by each
-/// worker into its own trace, merged after the run).
+/// What one processor did during one superstep; each counter is defined
+/// here once. The open superstep's record is WorkerState::step: every
+/// counting site accrues into it, and each boundary seals it whole into the
+/// worker's own trace (lock-free), merged after the run. What a worker sends
+/// is charged to the sending superstep; what a boundary exchange does, to the
+/// superstep that boundary OPENS.
 struct WorkerStepRecord {
-  double work_us = 0.0;             ///< local computation time
+  /// Local computation time; a split-phase window's compute counts toward
+  /// the superstep the window closes.
+  double work_us = 0.0;
   std::uint64_t sent_packets = 0;   ///< outgoing, in packet units
   /// Incoming packets, in packet units, charged to the superstep that READS
   /// them (they were delivered at its opening boundary) — the paper's
@@ -25,22 +31,23 @@ struct WorkerStepRecord {
   /// Messages read in this superstep (same charging rule as recv_packets).
   std::uint64_t recv_messages = 0;
   /// Bytes this worker actually pushed onto the wire (frames + headers +
-  /// stage counts) at the boundary that opened this superstep — same charging
-  /// rule as recv_packets. Zero for in-memory transports, which move arenas
-  /// instead of bytes; the socket transport reports real socket writes here.
+  /// stage counts) at the boundary that opened this superstep. Zero for
+  /// in-memory transports, which move arenas instead of bytes; zero-copy
+  /// slab payloads are not in here (see wire_zc_bytes).
   std::uint64_t wire_bytes = 0;
-  /// Data-moving syscalls (sendmsg/recv/readv) the transport issued for this
-  /// worker at the boundary that opened this superstep — the software-path
-  /// constant factor behind the wire bytes. Zero for in-memory transports.
+  /// Data-moving syscalls (sendmsg/readv) the transport issued for this
+  /// worker at the boundary that opened this superstep — the constant factor
+  /// behind the wire bytes. Idle EAGAIN probes and polls are not counted:
+  /// they belong to the wait policy. Zero for in-memory transports.
   std::uint64_t wire_syscalls = 0;
-  /// Payload bytes that crossed to this worker's peers zero-copy through a
-  /// shared-memory slab at the boundary that opened this superstep (sender
-  /// reservations plus receiver view fixups; disjoint from wire_bytes). Zero
+  /// Payload bytes that crossed zero-copy through a shared-memory slab: the
+  /// sender is charged at reservation (its send call), the receiver at view
+  /// fixup (delivery). Not in wire_bytes; the two sum to total traffic. Zero
   /// off the shm transport.
   std::uint64_t wire_zc_bytes = 0;
   /// Faults the injection harness (core/fault.hpp) fired on this worker's
-  /// behalf during the boundary that opened this superstep. Zero unless a
-  /// FaultPlan is installed.
+  /// behalf during the boundary that opened this superstep — for a split
+  /// boundary, from sync_begin() on. Zero unless a FaultPlan is installed.
   std::uint64_t injected_faults = 0;
   /// Checkpoint taken at the top of this superstep (core/recovery.hpp):
   /// bytes snapshotted and time spent. Zero unless Config::checkpoint_every
@@ -59,7 +66,7 @@ struct WorkerStepRecord {
   /// in-memory transports, whose default split-phase mapping defers all
   /// movement to sync_end.
   std::uint64_t overlap_wire_bytes = 0;
-  /// Destination-indexed packet counts; empty unless
+  /// Destination-indexed packet counts sent in this superstep; empty unless
   /// Config::collect_comm_matrix is set.
   std::vector<std::uint64_t> sent_to_packets;
 };

@@ -1,24 +1,55 @@
 #include "core/stats_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 namespace gbsp {
 
 namespace {
 
-constexpr char kHeader[] =
-    "superstep,w_max_us,w_total_us,h_packets,total_packets,total_bytes,"
-    "total_messages,h_messages,endpoint_messages,total_wire_bytes,"
-    "total_wire_syscalls,total_wire_zc_bytes,injected_faults,checkpoint_bytes,"
-    "checkpoint_max_us,"
-    "restore_max_us,overlap_max_us,total_overlap_wire_bytes";
+/// The CSV columns after `superstep`, in file order: header name and the
+/// SuperstepStats field. The writer and the reader both walk this list.
+struct Column {
+  const char* name;
+  std::variant<std::uint64_t SuperstepStats::*, double SuperstepStats::*>
+      field;
+};
 
-constexpr std::size_t kColumns = 18;
+const Column kColumns[] = {
+    {"w_max_us", &SuperstepStats::w_max_us},
+    {"w_total_us", &SuperstepStats::w_total_us},
+    {"h_packets", &SuperstepStats::h_packets},
+    {"total_packets", &SuperstepStats::total_packets},
+    {"total_bytes", &SuperstepStats::total_bytes},
+    {"total_messages", &SuperstepStats::total_messages},
+    {"h_messages", &SuperstepStats::h_messages},
+    {"endpoint_messages", &SuperstepStats::endpoint_messages},
+    {"total_wire_bytes", &SuperstepStats::total_wire_bytes},
+    {"total_wire_syscalls", &SuperstepStats::total_wire_syscalls},
+    {"total_wire_zc_bytes", &SuperstepStats::total_wire_zc_bytes},
+    {"injected_faults", &SuperstepStats::total_injected_faults},
+    {"checkpoint_bytes", &SuperstepStats::total_checkpoint_bytes},
+    {"checkpoint_max_us", &SuperstepStats::checkpoint_max_us},
+    {"restore_max_us", &SuperstepStats::restore_max_us},
+    {"overlap_max_us", &SuperstepStats::overlap_max_us},
+    {"total_overlap_wire_bytes", &SuperstepStats::total_overlap_wire_bytes},
+};
+
+std::string header() {
+  std::string h = "superstep";
+  for (const Column& c : kColumns) h.append(",").append(c.name);
+  return h;
+}
+
+void parse(const std::string& cell, std::uint64_t& out) {
+  out = std::stoull(cell);
+}
+void parse(const std::string& cell, double& out) { out = std::stod(cell); }
 
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> out;
@@ -37,24 +68,20 @@ void write_superstep_csv(std::ostream& os, const RunStats& stats) {
   // max_digits10 makes the double columns round-trip bit-exactly, so a
   // reloaded trace prices identically to the captured one.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << kHeader << '\n';
+  os << header() << '\n';
   for (std::size_t i = 0; i < stats.supersteps.size(); ++i) {
     const SuperstepStats& s = stats.supersteps[i];
-    os << i << ',' << s.w_max_us << ',' << s.w_total_us << ','
-       << s.h_packets << ',' << s.total_packets << ',' << s.total_bytes
-       << ',' << s.total_messages << ',' << s.h_messages << ','
-       << s.endpoint_messages << ',' << s.total_wire_bytes << ','
-       << s.total_wire_syscalls << ',' << s.total_wire_zc_bytes << ','
-       << s.total_injected_faults << ','
-       << s.total_checkpoint_bytes << ',' << s.checkpoint_max_us << ','
-       << s.restore_max_us << ',' << s.overlap_max_us << ','
-       << s.total_overlap_wire_bytes << '\n';
+    os << i;
+    for (const Column& c : kColumns) {
+      std::visit([&](auto field) { os << ',' << s.*field; }, c.field);
+    }
+    os << '\n';
   }
 }
 
 RunStats read_superstep_csv(std::istream& is, int nprocs) {
   std::string line;
-  if (!std::getline(is, line) || line != kHeader) {
+  if (!std::getline(is, line) || line != header()) {
     throw std::invalid_argument("stats_io: missing or unexpected CSV header");
   }
   RunStats stats;
@@ -62,28 +89,15 @@ RunStats read_superstep_csv(std::istream& is, int nprocs) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv(line);
-    if (cells.size() != kColumns) {
+    if (cells.size() != 1 + std::size(kColumns)) {
       throw std::invalid_argument("stats_io: malformed CSV row: " + line);
     }
     SuperstepStats s;
     try {
-      s.w_max_us = std::stod(cells[1]);
-      s.w_total_us = std::stod(cells[2]);
-      s.h_packets = std::stoull(cells[3]);
-      s.total_packets = std::stoull(cells[4]);
-      s.total_bytes = std::stoull(cells[5]);
-      s.total_messages = std::stoull(cells[6]);
-      s.h_messages = std::stoull(cells[7]);
-      s.endpoint_messages = std::stoull(cells[8]);
-      s.total_wire_bytes = std::stoull(cells[9]);
-      s.total_wire_syscalls = std::stoull(cells[10]);
-      s.total_wire_zc_bytes = std::stoull(cells[11]);
-      s.total_injected_faults = std::stoull(cells[12]);
-      s.total_checkpoint_bytes = std::stoull(cells[13]);
-      s.checkpoint_max_us = std::stod(cells[14]);
-      s.restore_max_us = std::stod(cells[15]);
-      s.overlap_max_us = std::stod(cells[16]);
-      s.total_overlap_wire_bytes = std::stoull(cells[17]);
+      for (std::size_t k = 0; k < std::size(kColumns); ++k) {
+        std::visit([&](auto field) { parse(cells[k + 1], s.*field); },
+                   kColumns[k].field);
+      }
     } catch (const std::exception&) {
       throw std::invalid_argument("stats_io: malformed CSV value: " + line);
     }

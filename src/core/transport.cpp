@@ -149,7 +149,7 @@ void TransportBase::inject_boundary_fault(FaultSite site,
   ctx.superstep = st.superstep;
   const auto d = fault_->before_call(site, ctx);
   if (!d) return;
-  st.injected_faults += 1;
+  st.step.injected_faults += 1;
   switch (d->kind) {
     case FaultKind::DelayUs:
       std::this_thread::sleep_for(std::chrono::microseconds(d->arg));
@@ -194,8 +194,8 @@ void TransportBase::finish_delivery(WorkerState& dst,
   }
   if (cfg_.collect_stats) {
     // Charged to the upcoming superstep, which reads these messages.
-    dst.pending_recv_packets = recv_packets;
-    dst.pending_recv_messages = dst.inbox.size();
+    dst.step.recv_packets = recv_packets;
+    dst.step.recv_messages = dst.inbox.size();
   }
 }
 

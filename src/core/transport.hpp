@@ -153,7 +153,7 @@ class Transport {
 
   /// Completes `st`'s boundary exchange and delivers everything sent to it
   /// during the ended superstep: rebuilds st.inbox with views, valid until
-  /// st's next boundary, and charges st.pending_recv_*
+  /// st's next boundary, and charges st.step.recv_packets/recv_messages
   /// (Config::collect_stats). For barrier transports the runtime brackets
   /// this with the two boundary barriers.
   virtual void finish_exchange(detail::WorkerState& st) = 0;

@@ -3,10 +3,10 @@
 //
 // WorkerState deliberately carries only transport-agnostic fields: identity,
 // sequence counters, the inbox *views* handed to application code, and the
-// statistics counters. Everything strategy-specific — per-destination outbox
-// arenas, eager parity buffers, socket staging state — lives inside the
-// Transport implementation that needs it (core/transport_*.hpp), keyed by
-// pid. That separation is what lets one Runtime run unchanged over shared
+// open superstep's statistics record. Everything strategy-specific —
+// per-destination outbox arenas, eager parity buffers, socket staging
+// state — lives inside the Transport implementation that needs it
+// (core/transport_*.hpp), keyed by pid. That separation is what lets one Runtime run unchanged over shared
 // buffers, chunk-locked eager splicing, or real sockets (the paper's SGI /
 // Cenju / PC-LAN portability claim, Appendix B).
 #pragma once
@@ -33,43 +33,10 @@ struct WorkerState {
   std::size_t inbox_cursor = 0;
 
   std::uint64_t superstep = 0;
-  // Packets delivered at the last boundary, to be charged to the superstep
-  // that reads them (the paper's h accounting: its matmult H counts each
-  // block in both its send and its unpack superstep).
-  std::uint64_t pending_recv_packets = 0;
-  std::uint64_t pending_recv_messages = 0;
-  std::uint64_t sent_packets = 0;
-  std::uint64_t sent_bytes = 0;
-  std::uint64_t sent_messages = 0;
-  // Bytes this worker actually pushed onto the wire (frame headers plus
-  // payloads), maintained by transports that move real bytes; zero for the
-  // in-memory transports. Charged like recv_packets: the exchange runs at
-  // the boundary that opens a superstep, so the bytes land in that
-  // superstep's record.
-  std::uint64_t wire_bytes = 0;
-  // Data-path syscalls (sendmsg/recv/readv) that moved bytes on this
-  // worker's behalf; same charging rule and ownership as wire_bytes. Idle
-  // EAGAIN probes and polls are excluded — the per-stage count of productive
-  // syscalls is the constant factor the sectioned wire format exists to
-  // shrink, so it is tracked first-class.
-  std::uint64_t wire_syscalls = 0;
-  // Payload bytes that moved zero-copy through a shared-memory slab (sender
-  // charged at reservation, receiver at view fixup) instead of traveling a
-  // ring or socket; same charging rule as wire_bytes. Zero off the shm
-  // transport. These bytes are NOT in wire_bytes — the two sum to total
-  // traffic.
-  std::uint64_t wire_zc_bytes = 0;
-  // Faults the injection harness (core/fault.hpp) fired on this worker since
-  // the last record; charged like wire_bytes to the superstep being opened
-  // when they fire during an exchange. Zero when no injector is installed.
-  std::uint64_t injected_faults = 0;
-  // Checkpoint/restore accounting (core/recovery.hpp): bytes snapshotted and
-  // time spent at the checkpoint taken at the top of the superstep being
-  // recorded, and time spent restoring into it after a recovery.
-  std::uint64_t checkpoint_bytes = 0;
-  double checkpoint_us = 0.0;
-  double restore_us = 0.0;
-  std::vector<std::uint64_t> sent_to;  // per-dest packets this superstep
+  // The open superstep's record: every counting site accrues into it, and
+  // each boundary seals it into `trace` whole (core/stats.hpp documents each
+  // counter's charging rule).
+  WorkerStepRecord step;
 
   // --- Split-phase window (Worker::sync_begin()/sync_end()). The flag is
   // owned by the worker's own thread; run_attempt() rebuilds states fresh,
@@ -77,16 +44,6 @@ struct WorkerState {
   bool overlap_active = false;
   // Wall-clock (steady) ns at sync_begin, for the window-duration stat.
   std::int64_t overlap_start_ns = 0;
-  // wire_bytes/wire_syscalls at sync_begin: traffic accrued past these marks
-  // moved during the window and is re-charged to the superstep the boundary
-  // opens (the same charging rule as recv_packets).
-  std::uint64_t overlap_wire_base = 0;
-  std::uint64_t overlap_syscall_base = 0;
-  // Pending per-superstep overlap stats, set at sync_end and consumed by the
-  // next record_step: duration of the window that opened the recorded
-  // superstep and the wire bytes that moved inside it.
-  double overlap_us = 0.0;
-  std::uint64_t overlap_wire_bytes = 0;
 
   std::int64_t work_start_ns = 0;
   std::vector<WorkerStepRecord> trace;

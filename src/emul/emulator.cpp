@@ -81,16 +81,12 @@ std::vector<EmulatedMachine> emulated_machines() {
   return {emulated_sgi(), emulated_cenju(), emulated_pc()};
 }
 
-RunStats execute_traced(int nprocs, const std::function<void(Worker&)>& fn,
-                        bool deterministic_delivery,
-                        DeliveryStrategy delivery) {
+RunStats execute_traced(int nprocs, const std::function<void(Worker&)>& fn) {
   Config cfg;
   cfg.nprocs = nprocs;
   cfg.scheduling = Scheduling::Serialized;
-  cfg.delivery = delivery;
   cfg.collect_stats = true;
   cfg.collect_comm_matrix = true;
-  cfg.deterministic_delivery = deterministic_delivery;
   Runtime rt(cfg);
   return rt.run(fn);
 }

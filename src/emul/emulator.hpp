@@ -64,15 +64,9 @@ struct EmulationResult {
   CostBreakdown predicted;        ///< components of the coarse prediction
 };
 
-/// Runs `fn` on `nprocs` virtual processors (serialized, fully instrumented)
-/// and returns the machine-independent trace. `delivery` selects the real
-/// Transport used during execution (core/transport.hpp) — the trace itself
-/// is transport-independent, but running over the socket transport lets the
-/// TcpStaged *model* be checked against a real staged-exchange
-/// implementation (the trace then also carries measured wire bytes).
-RunStats execute_traced(int nprocs, const std::function<void(Worker&)>& fn,
-                        bool deterministic_delivery = false,
-                        DeliveryStrategy delivery = DeliveryStrategy::Deferred);
+/// Runs `fn` on `nprocs` virtual processors (serialized, fully instrumented,
+/// in-memory deferred delivery) and returns the machine-independent trace.
+RunStats execute_traced(int nprocs, const std::function<void(Worker&)>& fn);
 
 /// Prices an executed trace on a machine. `cpu_scale` converts measured work
 /// seconds into target-machine seconds (see calibrate_cpu_scale).

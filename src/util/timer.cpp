@@ -1,7 +1,6 @@
 #include "util/timer.hpp"
 
 #include <ctime>
-#include <thread>
 
 namespace gbsp {
 
@@ -15,20 +14,6 @@ std::int64_t ThreadCpuTimer::now_ns() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 #endif
-}
-
-void precise_sleep_us(double us) {
-  if (us <= 0) return;
-  WallTimer t;
-  // Sleep coarsely while more than one scheduler quantum remains, then spin.
-  constexpr double kSpinThresholdUs = 200.0;
-  while (us - t.elapsed_us() > kSpinThresholdUs) {
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<std::int64_t>((us - t.elapsed_us()) - kSpinThresholdUs)));
-  }
-  while (t.elapsed_us() < us) {
-    // busy-wait for the tail
-  }
 }
 
 }  // namespace gbsp

@@ -1,6 +1,4 @@
-// Timing utilities: wall-clock and per-thread CPU timers, plus a hybrid
-// sleep that stays accurate at microsecond granularity (needed when the
-// machine emulator charges superstep latencies of a few microseconds).
+// Timing utilities: wall-clock and per-thread CPU timers.
 #pragma once
 
 #include <chrono>
@@ -52,12 +50,5 @@ class ThreadCpuTimer {
  private:
   std::int64_t start_;
 };
-
-/// Sleep for `us` microseconds with sub-millisecond accuracy.
-///
-/// OS sleeps typically have ~50us-1ms granularity; this sleeps for the bulk
-/// and spins for the remainder, so emulated superstep latencies down to ~1us
-/// are charged faithfully.
-void precise_sleep_us(double us);
 
 }  // namespace gbsp

@@ -161,7 +161,9 @@ TEST(MessageArena, SpliceMovesFramesWithoutCopying) {
   EXPECT_EQ(seen[1].source, 1u);
   EXPECT_EQ(seen[2].source, 1u);
   dst.for_each_frame([&](const MessageArena::Frame& f) {
-    if (f.len == 500) EXPECT_EQ(f.payload(), payload_before);
+    if (f.len == 500) {
+      EXPECT_EQ(f.payload(), payload_before);
+    }
   });
 }
 

@@ -56,7 +56,9 @@ TEST_P(Collectives, ReduceSumToEveryRoot) {
       const std::int64_t got =
           reduce(w, root, static_cast<std::int64_t>(w.pid()),
                  std::plus<std::int64_t>{}, alg());
-      if (w.pid() == root) EXPECT_EQ(got, expect);
+      if (w.pid() == root) {
+        EXPECT_EQ(got, expect);
+      }
     });
   }
 }
@@ -67,7 +69,9 @@ TEST_P(Collectives, ReduceMax) {
     const int v = 100 - std::abs(2 * w.pid() - (p() - 1));
     const int got = reduce(
         w, 0, v, [](int a, int b) { return a > b ? a : b; }, alg());
-    if (w.pid() == 0) EXPECT_EQ(got, 100 - ((p() - 1) % 2));
+    if (w.pid() == 0) {
+      EXPECT_EQ(got, 100 - ((p() - 1) % 2));
+    }
   });
 }
 

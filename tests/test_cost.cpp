@@ -47,7 +47,7 @@ TEST(Machine, ClampsOutsideTheTable) {
   const MachineParams above = paper_pc().params_for(32);
   EXPECT_DOUBLE_EQ(above.g_us, 8.6);
   EXPECT_DOUBLE_EQ(above.L_us, 3715);
-  EXPECT_THROW(paper_pc().params_for(0), std::invalid_argument);
+  EXPECT_THROW((void)paper_pc().params_for(0), std::invalid_argument);
 }
 
 TEST(Machine, PaperMachinesInPresentationOrder) {

@@ -33,7 +33,7 @@ TEST(GreenCApi, PacketRingRoundTrip) {
     bspSynch();
     bspPkt* got = bspGetPkt();
     ASSERT_NE(got, nullptr);
-    char want[16];
+    char want[32];
     std::snprintf(want, sizeof(want), "from %d", (bspPid() + p - 1) % p);
     EXPECT_STREQ(got->data, want);
     EXPECT_EQ(bspGetPkt(), nullptr);
@@ -94,7 +94,7 @@ TEST(GreenCApi, SplitPhaseRingRoundTrip) {
     std::snprintf(pkt.data, sizeof(pkt.data), "from %d", bspPid());
     bspSendPkt((bspPid() + 1) % p, &pkt);
     bspSynchBegin();
-    char want[16];
+    char want[32];
     std::snprintf(want, sizeof(want), "from %d", (bspPid() + p - 1) % p);
     bspSynchEnd();
     bspPkt* got = bspGetPkt();

@@ -62,10 +62,15 @@ INSTANTIATE_TEST_SUITE_P(
         {2000, 16, 9, 64},
     }),
     [](const testing::TestParamInfo<MstParam>& info) {
-      return "N" + std::to_string(info.param.n) + "P" +
-             std::to_string(info.param.nprocs) + "E" +
-             std::to_string(info.param.endgame) + "S" +
-             std::to_string(info.param.seed);
+      std::string name = "N";
+      name += std::to_string(info.param.n);
+      name += 'P';
+      name += std::to_string(info.param.nprocs);
+      name += 'E';
+      name += std::to_string(info.param.endgame);
+      name += 'S';
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 TEST(Mst, EveryEdgeIsARealGraphEdge) {

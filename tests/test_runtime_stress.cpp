@@ -142,8 +142,10 @@ std::string stress_name(const testing::TestParamInfo<StressParam>& info) {
     case DeliveryStrategy::Eager: s += "Eag"; break;
     case DeliveryStrategy::Socket: s += "Sock"; break;
     case DeliveryStrategy::Tcp: s += "Tcp"; break;
+    case DeliveryStrategy::Shm: s += "Shm"; break;
   }
-  s += "P" + std::to_string(p.nprocs);
+  s += 'P';
+  s += std::to_string(p.nprocs);
   return s;
 }
 

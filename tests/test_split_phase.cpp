@@ -12,12 +12,16 @@
 //   * rigid and split workers can meet at the same boundary;
 //   * a transport fault inside the window recovers bit-identically under
 //     both checkpoint-resume and whole-run replay, exactly like a fault
-//     during a rigid sync() (test_fault.cpp's contract).
+//     during a rigid sync() (test_fault.cpp's contract);
+//   * the per-superstep stats follow the rigid charging rule: a resumed
+//     superstep keeps the overlap window that opened it, and a boundary's
+//     faults land in the superstep it opens, split or rigid.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -376,6 +380,85 @@ INSTANTIATE_TEST_SUITE_P(CkptAndReplay, SplitPhaseFault, ::testing::Bool(),
                            return info.param ? std::string("Ckpt")
                                              : std::string("Replay");
                          });
+
+// Per-superstep stats of split boundaries, over every transport.
+class SplitPhaseStats : public ::testing::TestWithParam<DeliveryStrategy> {};
+
+TEST_P(SplitPhaseStats, ResumedRunKeepsOverlapStats) {
+  Config cfg = base_config(GetParam());
+  cfg.checkpoint_every = 1;
+  cfg.max_run_retries = 3;
+  cfg.retry_backoff_us = 100;
+  Runtime rt(cfg);
+
+  // test_fault.cpp's lethal peer-death arms at rank 1, superstep 2. Socket:
+  // an endpoint hangs up mid-send, inside rank 1's window. In-memory: a
+  // simulated death at rank 1's delivery. Either way the run resumes from
+  // the checkpoint at the top of superstep 2.
+  FaultPlan plan;
+  FaultRule r;
+  if (GetParam() == DeliveryStrategy::Socket) {
+    r.site = FaultSite::SendCall;
+    r.kind = FaultKind::PeerHangup;
+  } else {
+    r.site = FaultSite::Deliver;
+    r.kind = FaultKind::Abort;
+  }
+  r.rank = 1;
+  r.superstep = 2;
+  plan.rules.push_back(r);
+  rt.set_fault_plan(plan);
+
+  RunStats stats;
+  run_ring(rt, Boundary::SplitCompute, &stats);
+  EXPECT_GE(stats.recoveries, 1u) << "the fault never actually fired";
+  // Every superstep after the first was opened by a split boundary with
+  // compute in its window — the one execution resumed into included.
+  for (std::size_t w = 0; w < stats.traces.size(); ++w) {
+    const std::vector<WorkerStepRecord>& trace = stats.traces[w];
+    for (std::size_t step = 1; step < trace.size(); ++step) {
+      EXPECT_GT(trace[step].overlap_us, 0.0)
+          << "worker " << w << " superstep " << step;
+    }
+  }
+}
+
+TEST_P(SplitPhaseStats, RigidAndSplitBoundariesChargeFaultsAlike) {
+  // Harmless 1 µs stalls at both boundary hooks of rank 1's superstep-2
+  // boundary: sync() charges them to superstep 3, the one it opens, and a
+  // split boundary must do the same.
+  FaultPlan plan;
+  for (const FaultSite site : {FaultSite::Flush, FaultSite::Deliver}) {
+    FaultRule r;
+    r.site = site;
+    r.kind = FaultKind::DelayUs;
+    r.arg = 1;
+    r.rank = 1;
+    r.superstep = 2;
+    plan.rules.push_back(r);
+  }
+  const auto worker1_faults = [&plan](Boundary boundary) {
+    Runtime rt(base_config(GetParam()));
+    rt.set_fault_plan(plan);
+    RunStats stats;
+    run_ring(rt, boundary, &stats);
+    std::vector<std::uint64_t> out;
+    for (const WorkerStepRecord& r : stats.traces[1]) {
+      out.push_back(r.injected_faults);
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> rigid = worker1_faults(Boundary::Rigid);
+  EXPECT_EQ(std::accumulate(rigid.begin(), rigid.end(), std::uint64_t{0}),
+            2u);
+  EXPECT_EQ(worker1_faults(Boundary::SplitEmpty), rigid);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, SplitPhaseStats,
+                         ::testing::Values(DeliveryStrategy::Deferred,
+                                           DeliveryStrategy::Eager,
+                                           DeliveryStrategy::Socket),
+                         transport_name);
 
 // --------------------------------------------------------------- shm ranks
 
