@@ -164,9 +164,10 @@ struct Config {
   /// tcp_port + r, so a p-process run occupies [tcp_port, tcp_port + p - 1].
   int tcp_port = 47100;
 
-  /// TCP transport: bootstrap deadline. Covers the connect retry loop (peers
-  /// start at different times; ECONNREFUSED is retried until the listener
-  /// comes up) and each blocking rank-handshake read/write.
+  /// Process mode (tcp and shm): the one bootstrap deadline of both meshes
+  /// (core/mesh.hpp, RankMesh). Covers the dial retry loop (peers start at
+  /// different times), the accept loop, each blocking rank-handshake
+  /// read/write, and shm's segment handoff.
   std::size_t tcp_connect_timeout_ms = 10'000;
 
   /// Shm transport: run identity. The bootstrap rendezvous uses abstract

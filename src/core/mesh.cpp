@@ -20,6 +20,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/transport.hpp"  // BspTransportError
 
@@ -114,8 +115,46 @@ bool write_full(int fd, const void* buf, std::size_t n, int* err) {
   return true;
 }
 
-std::string endpoint_str(const std::string& host, int port) {
-  return host + ":" + std::to_string(port);
+/// Owns one fd until released; closes it on scope exit (a failed bootstrap
+/// step must not leak the link it was working on).
+struct FdGuard {
+  int fd;
+  explicit FdGuard(int f) : fd(f) {}
+  FdGuard(const FdGuard&) = delete;
+  FdGuard& operator=(const FdGuard&) = delete;
+  ~FdGuard() {
+    if (fd >= 0) ::close(fd);
+  }
+  int release() { return std::exchange(fd, -1); }
+};
+
+/// A hello I/O error that means the peer went away under the link: EOF
+/// (err == 0), a reset, or a write into a closed stream.
+bool peer_gone(int err) {
+  return err == 0 || err == ECONNRESET || err == EPIPE;
+}
+
+/// True when a dial connected to itself: a TCP connect to a port in the
+/// kernel's ephemeral range with no listener yet can pick that very port as
+/// its source port and complete a simultaneous open with itself. The
+/// listener is not up yet; the dialer retries.
+bool connected_to_self(int fd) {
+  sockaddr_storage self{};
+  sockaddr_storage peer{};
+  socklen_t self_len = sizeof(self);
+  socklen_t peer_len = sizeof(peer);
+  return ::getsockname(fd, reinterpret_cast<sockaddr*>(&self), &self_len) ==
+             0 &&
+         ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) ==
+             0 &&
+         self_len == peer_len && std::memcmp(&self, &peer, self_len) == 0;
+}
+
+/// connect() errnos that mean the listener is not up yet (refused, or for
+/// AF_UNIX not bound yet) or the attempt was cut short; the dialer retries.
+bool connect_retryable(int err) {
+  return err == ECONNREFUSED || err == ENOENT || err == ETIMEDOUT ||
+         err == EINTR || err == EAGAIN || err == EINPROGRESS;
 }
 
 }  // namespace
@@ -123,8 +162,8 @@ std::string endpoint_str(const std::string& host, int port) {
 // ---------------------------------------------------------------------- Mesh
 
 void Mesh::build(int nprocs) {
-  teardown();
   nprocs_ = nprocs;
+  teardown();
   const std::size_t n2 =
       static_cast<std::size_t>(nprocs) * static_cast<std::size_t>(nprocs);
   snd_grown_to_.assign(n2, 0);
@@ -165,111 +204,6 @@ void Mesh::apply_endpoint_options(int fd) const {
     // Pinned mode: one explicit request per endpoint, no adaptive growth.
     request_kernel_buf(fd, SO_SNDBUF, cfg_.socket_buffer_bytes);
     request_kernel_buf(fd, SO_RCVBUF, cfg_.socket_buffer_bytes);
-  }
-}
-
-void Mesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-}
-
-RankHello Mesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
-}
-
-void Mesh::check_hello(const RankHello& h, int expect_rank, const char* link,
-                       const char* cause) const {
-  const int me = cfg_.rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
-      throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) + " on this " + link +
-              ", peer claims rank " + std::to_string(h.rank) + " (" + cause +
-              ")",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    return;
-  }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-  if (fd(me, static_cast<int>(h.rank)) >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
   }
 }
 
@@ -322,204 +256,296 @@ void SocketpairMesh::kill_endpoints(int pid) {
   }
 }
 
-// ----------------------------------------------------------------- TcpMesh
+// ---------------------------------------------------------------- RankMesh
 
-void TcpMesh::teardown() {
-  for (int& fd : fd_) {
+void RankMesh::teardown() {
+  for (int fd : fd_) {
     if (fd >= 0) ::close(fd);
-    fd = -1;
   }
+  fd_.assign(static_cast<std::size_t>(nprocs_), -1);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 }
 
-int TcpMesh::fd(int pid, int peer) const {
+int RankMesh::fd(int pid, int peer) const {
   if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
   return fd_[static_cast<std::size_t>(peer)];
 }
 
-void TcpMesh::kill_endpoints(int pid) {
+void RankMesh::kill_endpoints(int pid) {
   mark_dirty();
   if (pid != cfg_.rank) return;
+  // shutdown, not close: the peer observes EOF on its next read (or shm's
+  // death-check peek of the control stream), exactly as a real process
+  // death reads.
   for (int fd : fd_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 }
 
-void TcpMesh::do_build(int nprocs) {
-  const int me = cfg_.rank;
-  fd_.assign(static_cast<std::size_t>(nprocs), -1);
+bool RankMesh::send_hello(int fd, int peer) const {
+  RankHello h;
+  h.rank = static_cast<std::uint32_t>(cfg_.rank);
+  h.nprocs = static_cast<std::uint32_t>(nprocs_);
+  int err = 0;
+  if (write_full(fd, &h, sizeof(h), &err)) return true;
+  if (peer_gone(err)) return false;
+  throw BspTransportError("failed to send the rank handshake", cfg_.rank, peer,
+                          /*superstep=*/-1, /*stage=*/-1, err,
+                          /*bytes_moved=*/0);
+}
 
-  in_addr host_addr{};
-  if (::inet_pton(AF_INET, cfg_.tcp_host.c_str(), &host_addr) != 1) {
+bool RankMesh::recv_hello(int fd, int peer, RankHello* h) const {
+  int err = 0;
+  if (read_full(fd, h, sizeof(*h), &err)) return true;
+  if (peer_gone(err)) return false;
+  if (err == EAGAIN || err == EWOULDBLOCK) {
     throw BspTransportError(
-        "tcp_host \"" + cfg_.tcp_host + "\" is not a numeric IPv4 address",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        "rank handshake timed out after tcp_connect_timeout_ms=" +
+            std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
+        cfg_.rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
         /*bytes_moved=*/0);
   }
+  throw BspTransportError("failed to read the rank handshake", cfg_.rank,
+                          peer, /*superstep=*/-1, /*stage=*/-1, err,
+                          /*bytes_moved=*/0);
+}
+
+void RankMesh::check_hello(const RankHello& h, int expect_rank,
+                           const std::string& at) const {
+  const int me = cfg_.rank;
+  if (h.magic != RankHello::kMagic) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(h.magic));
+    throw BspTransportError(
+        std::string("rank handshake has bad magic ") + hex +
+            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.version != RankHello::kVersion) {
+    throw BspTransportError(
+        "rank handshake version mismatch: peer speaks mesh protocol v" +
+            std::to_string(h.version) + ", this build expects v" +
+            std::to_string(RankHello::kVersion),
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.reserved != 0) {
+    throw BspTransportError(
+        "rank handshake has nonzero reserved field (stream corruption?)", me,
+        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
+    throw BspTransportError(
+        "rank handshake nprocs mismatch: peer was launched with " +
+            std::to_string(h.nprocs) + " ranks, this rank with " +
+            std::to_string(nprocs_),
+        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (expect_rank >= 0) {
+    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
+      throw BspTransportError(
+          "rank handshake rank mismatch: expected rank " +
+              std::to_string(expect_rank) + " at " + at +
+              ", peer claims rank " + std::to_string(h.rank) + " (" +
+              skew_cause_ + ")",
+          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+          /*bytes_moved=*/0);
+    }
+    return;
+  }
+  // Accept side: any higher rank we have not accepted yet.
+  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
+      static_cast<int>(h.rank) <= me) {
+    throw BspTransportError(
+        "rank handshake rank mismatch: accepted a connection claiming rank " +
+            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
+            " of " + std::to_string(nprocs_) +
+            " only accepts from higher ranks",
+        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
+        /*err=*/0, /*bytes_moved=*/0);
+  }
+  if (fd_[h.rank] >= 0) {
+    throw BspTransportError(
+        "duplicate rank handshake: rank " + std::to_string(h.rank) +
+            " connected twice (two processes launched with the same "
+            "GBSP_RANK?)",
+        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
+        /*err=*/0, /*bytes_moved=*/0);
+  }
+}
+
+void RankMesh::do_build(int nprocs) {
+  const int me = cfg_.rank;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(cfg_.tcp_connect_timeout_ms);
-
-  // 1. Listener first, before any connect: across processes the bootstrap is
-  // deadlock-free because every rank's listener exists (or will shortly —
-  // connectors retry) before anyone blocks in accept.
-  const int my_port = cfg_.tcp_port + me;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw BspTransportError("socket(AF_INET) failed", me, /*peer=*/-1,
-                            /*superstep=*/-1, /*stage=*/-1, errno,
-                            /*bytes_moved=*/0);
-  }
-  const int one = 1;
-  // SO_REUSEADDR: a rebuild (wire-dirty retry) must re-bind the same port
-  // while the previous incarnation's accepted sockets sit in TIME_WAIT.
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr = host_addr;
-  sa.sin_port = htons(static_cast<std::uint16_t>(my_port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    throw BspTransportError(
-        "bind(" + endpoint_str(cfg_.tcp_host, my_port) + ") for rank " +
-            std::to_string(me) + " failed (port already in use?)",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
+  const auto timeout = "tcp_connect_timeout_ms=" +
+                       std::to_string(cfg_.tcp_connect_timeout_ms) + "ms";
+  // Every link joins the mesh the same way: fd(me, peer), the medium's
+  // hook, then no I/O deadline (stage I/O is non-blocking, and shm's
+  // death-check peek must never see a timeout errno).
+  const auto join = [&](FdGuard& conn, int peer) {
+    const int fd = conn.release();
+    fd_[static_cast<std::size_t>(peer)] = fd;
+    link(fd, peer);
+    set_io_timeout(fd, 0);
+  };
+  const auto died = [&](int peer) {
+    return BspTransportError(
+        "peer closed the connection during the rank handshake (peer died "
+        "during accept?)",
+        me, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
         /*bytes_moved=*/0);
+  };
+
+  // 1. Listener first, before any dial: across processes the bootstrap is
+  // deadlock-free because every rank's listener exists (or will shortly —
+  // dialers retry) before anyone blocks in accept.
+  const Endpoint mine = listener(me);
+  listen_fd_ = ::socket(mine.addr.ss_family, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) {
+    throw BspTransportError("socket() for the listener at " + mine.name +
+                                " failed",
+                            me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                            errno, /*bytes_moved=*/0);
+  }
+  // SO_REUSEADDR: a TCP rebuild (wire-dirty retry) must re-bind the same
+  // port while the previous incarnation's accepted sockets sit in
+  // TIME_WAIT. AF_UNIX ignores it.
+  const int one = 1;
+  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&mine.addr),
+             mine.len) != 0) {
+    throw BspTransportError("bind(" + mine.name + ") for rank " +
+                                std::to_string(me) + " failed (" +
+                                bind_cause_ + ")",
+                            me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                            errno, /*bytes_moved=*/0);
   }
   if (::listen(listen_fd_, nprocs) != 0) {
-    throw BspTransportError(
-        "listen(" + endpoint_str(cfg_.tcp_host, my_port) + ") failed", me,
-        /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
-        /*bytes_moved=*/0);
+    throw BspTransportError("listen(" + mine.name + ") failed", me,
+                            /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                            errno, /*bytes_moved=*/0);
   }
 
-  // 2. Connect to every lower rank's listener (the pair orientation: higher
-  // rank dials, lower rank answers). ECONNREFUSED just means that rank's
-  // listener is not up yet — retry until the deadline.
+  // 2. Dial every lower rank's listener (the pair orientation: higher rank
+  // dials, lower rank answers); the dialing side speaks first.
   for (int j = 0; j < me; ++j) {
-    const int peer_port = cfg_.tcp_port + j;
-    int fd = -1;
-    for (;;) {
+    const Endpoint ep = listener(j);
+    // Every `continue` below is a retry, 2 ms after the failed attempt.
+    for (;; std::this_thread::sleep_for(std::chrono::milliseconds(2))) {
       if (Clock::now() >= deadline) {
         throw BspTransportError(
-            "connect to rank " + std::to_string(j) + " at " +
-                endpoint_str(cfg_.tcp_host, peer_port) +
-                " timed out after tcp_connect_timeout_ms=" +
-                std::to_string(cfg_.tcp_connect_timeout_ms) +
-                "ms (rank never launched, or died during bootstrap?)",
+            "connect to rank " + std::to_string(j) + " at " + ep.name +
+                " timed out after " + timeout +
+                " (rank never launched, or died during bootstrap?)",
             me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
             /*bytes_moved=*/0);
       }
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) {
-        throw BspTransportError("socket(AF_INET) failed", me, j,
-                                /*superstep=*/-1, /*stage=*/-1, errno,
+      FdGuard conn{::socket(ep.addr.ss_family, SOCK_STREAM, 0)};
+      if (conn.fd < 0) {
+        throw BspTransportError("socket() for the link to rank " +
+                                    std::to_string(j) + " at " + ep.name +
+                                    " failed",
+                                me, j, /*superstep=*/-1, /*stage=*/-1, errno,
                                 /*bytes_moved=*/0);
       }
-      sockaddr_in pa{};
-      pa.sin_family = AF_INET;
-      pa.sin_addr = host_addr;
-      pa.sin_port = htons(static_cast<std::uint16_t>(peer_port));
-      set_io_timeout(fd, remaining_ms(deadline));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&pa), sizeof(pa)) == 0) {
-        // Handshake: the dialing side speaks first. A peer that resets or
-        // closes underneath the handshake is treated like a refused connect
-        // (it may be tearing down a previous incarnation) and retried until
-        // the deadline; a malformed or mismatched hello is fatal.
-        try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, /*expect_rank=*/j, "port", "port map skewed?");
-          break;
-        } catch (const BspTransportError& e) {
-          ::close(fd);
-          fd = -1;
-          if (e.err == ECONNRESET || e.err == EPIPE ||
-              (e.err == 0 && std::string(e.what()).find("peer closed") !=
-                                 std::string::npos)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            continue;
-          }
-          throw;
-        }
+      set_io_timeout(conn.fd, remaining_ms(deadline));
+      if (::connect(conn.fd, reinterpret_cast<const sockaddr*>(&ep.addr),
+                    ep.len) != 0) {
+        const int err = errno;
+        if (connect_retryable(err)) continue;
+        throw BspTransportError(
+            "connect to rank " + std::to_string(j) + " at " + ep.name +
+                " failed",
+            me, j, /*superstep=*/-1, /*stage=*/-1, err, /*bytes_moved=*/0);
       }
-      const int cerr = errno;
-      ::close(fd);
-      fd = -1;
-      if (cerr == ECONNREFUSED || cerr == ETIMEDOUT || cerr == EINTR ||
-          cerr == EAGAIN || cerr == EINPROGRESS) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      throw BspTransportError(
-          "connect to rank " + std::to_string(j) + " at " +
-              endpoint_str(cfg_.tcp_host, peer_port) + " failed",
-          me, j, /*superstep=*/-1, /*stage=*/-1, cerr, /*bytes_moved=*/0);
+      if (connected_to_self(conn.fd)) continue;
+      // A peer that resets or closes underneath the hello may be tearing
+      // down a previous incarnation: retry like a refused connect.
+      RankHello h;
+      if (!send_hello(conn.fd, j) || !recv_hello(conn.fd, j, &h)) continue;
+      check_hello(h, /*expect_rank=*/j, ep.name);
+      join(conn, j);
+      break;
     }
-    fd_[static_cast<std::size_t>(j)] = fd;
   }
 
-  // 3. Accept every higher rank. The hello tells us who dialed in; a
-  // connection that fails its handshake fails the whole bootstrap — the
-  // caller tears down and (on retry) rebuilds from scratch.
-  int expected = nprocs - 1 - me;
-  while (expected > 0) {
+  // 3. Accept every higher rank. The hello tells us who dialed in; a link
+  // that fails its handshake fails the whole bootstrap — the caller tears
+  // down and (on retry) rebuilds from scratch.
+  for (int expected = nprocs - 1 - me; expected > 0;) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, remaining_ms(deadline));
+    if (pr < 0 && errno == EINTR) continue;
     if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw BspTransportError("poll on the mesh listener failed", me,
+      throw BspTransportError("poll on " + mine.name + " failed", me,
                               /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
                               errno, /*bytes_moved=*/0);
     }
     if (pr == 0) {
       throw BspTransportError(
-          "accept on " + endpoint_str(cfg_.tcp_host, my_port) +
-              " timed out with " + std::to_string(expected) +
-              " rank(s) still unconnected (tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms)",
+          "accept on " + mine.name + " timed out with " +
+              std::to_string(expected) + " rank(s) still unconnected (" +
+              timeout + ")",
           me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
           /*bytes_moved=*/0);
     }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+    FdGuard conn{::accept(listen_fd_, nullptr, nullptr)};
+    if (conn.fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw BspTransportError("accept failed", me, /*peer=*/-1,
-                              /*superstep=*/-1, /*stage=*/-1, errno,
-                              /*bytes_moved=*/0);
+      throw BspTransportError("accept on " + mine.name + " failed", me,
+                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
+                              errno, /*bytes_moved=*/0);
     }
-    set_io_timeout(fd, remaining_ms(deadline));
+    set_io_timeout(conn.fd, remaining_ms(deadline));
     RankHello h;
-    try {
-      h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, /*expect_rank=*/-1);
-      send_hello(fd, static_cast<int>(h.rank));
-    } catch (...) {
-      ::close(fd);
-      throw;
-    }
-    fd_[h.rank] = fd;
+    if (!recv_hello(conn.fd, /*peer=*/-1, &h)) throw died(-1);
+    check_hello(h, /*expect_rank=*/-1);
+    const int peer = static_cast<int>(h.rank);
+    if (!send_hello(conn.fd, peer)) throw died(peer);
+    join(conn, peer);
     --expected;
   }
-  // Bootstrap complete: close the listener so nothing can dial in mid-run
-  // (a skewed retry attempt gets ECONNREFUSED and keeps retrying until this
-  // rank reaches its own rebuild).
+  // 4. Bootstrap complete: close the listener so nothing can dial in mid-run
+  // (a skewed retry attempt is refused and keeps retrying until this rank
+  // reaches its own rebuild).
   ::close(listen_fd_);
   listen_fd_ = -1;
+}
 
-  // 4. Stage-traffic socket options, now that the blocking handshake is done.
-  for (int j = 0; j < nprocs; ++j) {
-    const int fd = fd_[static_cast<std::size_t>(j)];
-    if (fd < 0) continue;
-    set_io_timeout(fd, 0);  // back to no-timeout; stage I/O is non-blocking
-    // The staged exchange writes small control sections (24 B preamble)
-    // followed by bulk payload; Nagle would hold the control bytes hostage
-    // to the previous stage's ACKs.
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    apply_endpoint_options(fd);
-    seed_buffer_marks(me, j);
+// ----------------------------------------------------------------- TcpMesh
+
+RankMesh::Endpoint TcpMesh::listener(int rank) const {
+  Endpoint ep;
+  auto* sa = reinterpret_cast<sockaddr_in*>(&ep.addr);
+  sa->sin_family = AF_INET;
+  sa->sin_port = htons(static_cast<std::uint16_t>(cfg_.tcp_port + rank));
+  if (::inet_pton(AF_INET, cfg_.tcp_host.c_str(), &sa->sin_addr) != 1) {
+    throw BspTransportError(
+        "tcp_host \"" + cfg_.tcp_host + "\" is not a numeric IPv4 address",
+        cfg_.rank, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
   }
+  ep.len = sizeof(sockaddr_in);
+  ep.name = cfg_.tcp_host + ":" + std::to_string(cfg_.tcp_port + rank);
+  return ep;
+}
+
+void TcpMesh::link(int fd, int peer) {
+  // The staged exchange writes small control sections (24 B preamble)
+  // followed by bulk payload; Nagle would hold the control bytes hostage to
+  // the previous stage's ACKs.
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  apply_endpoint_options(fd);
+  seed_buffer_marks(cfg_.rank, peer);
 }
 
 // ----------------------------------------------------------------- ShmMesh
@@ -542,21 +568,6 @@ std::size_t shm_dir_bytes(const Config& cfg) {
 /// Whole pair segment: header page + both direction blocks.
 std::size_t shm_segment_bytes(const Config& cfg) {
   return kShmPage + 2 * shm_dir_bytes(cfg);
-}
-
-/// Abstract-namespace AF_UNIX address of `rank`'s bootstrap listener:
-/// "\0gbsp-shm.<shm_name>.<rank>". Abstract sockets vanish with their owning
-/// process, so a crashed run leaves nothing on the filesystem to unlink.
-socklen_t shm_abstract_addr(const Config& cfg, int rank, sockaddr_un* sa) {
-  std::memset(sa, 0, sizeof(*sa));
-  sa->sun_family = AF_UNIX;
-  const std::string tag =
-      "gbsp-shm." + cfg.shm_name + "." + std::to_string(rank);
-  // sun_path[0] stays NUL (abstract namespace); shm_name is capped at 64
-  // bytes by Config::validate, so the tag always fits sun_path.
-  std::memcpy(sa->sun_path + 1, tag.data(), tag.size());
-  return static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
-                                tag.size());
 }
 
 /// Passes the pair segment's memfd plus its announced byte length over the
@@ -667,34 +678,57 @@ int recv_fd_with_len(int sock, std::uint64_t* seg_len, int me, int peer,
 }  // namespace
 
 void ShmMesh::teardown() {
-  for (int& fd : ctrl_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
+  RankMesh::teardown();
   for (Mapping& m : maps_) {
     if (m.base != nullptr) ::munmap(m.base, m.len);
-    m = Mapping{};
   }
-  pairs_.assign(pairs_.size(), ShmPairView{});
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  maps_.assign(static_cast<std::size_t>(nprocs_), Mapping{});
+  pairs_.assign(static_cast<std::size_t>(nprocs_), ShmPairView{});
 }
 
-int ShmMesh::fd(int pid, int peer) const {
-  if (pid != cfg_.rank) return -1;  // only the local rank has endpoints
-  return ctrl_[static_cast<std::size_t>(peer)];
+RankMesh::Endpoint ShmMesh::listener(int rank) const {
+  // Abstract AF_UNIX namespace ("\0gbsp-shm.<shm_name>.<rank>"): abstract
+  // sockets vanish with their owning process, so a crashed run leaves
+  // nothing on the filesystem to unlink.
+  Endpoint ep;
+  auto* sa = reinterpret_cast<sockaddr_un*>(&ep.addr);
+  sa->sun_family = AF_UNIX;
+  const std::string tag =
+      "gbsp-shm." + cfg_.shm_name + "." + std::to_string(rank);
+  // sun_path[0] stays NUL (abstract namespace); shm_name is capped at 64
+  // bytes by Config::validate, so the tag always fits sun_path.
+  std::memcpy(sa->sun_path + 1, tag.data(), tag.size());
+  ep.len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                  tag.size());
+  ep.name = "@" + tag;
+  return ep;
 }
 
-void ShmMesh::kill_endpoints(int pid) {
-  mark_dirty();
-  if (pid != cfg_.rank) return;
-  // shutdown, not close: the peer's engine observes EOF on its death-check
-  // peek of the control stream, exactly as a real process death reads.
-  for (int fd : ctrl_) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+void ShmMesh::link(int fd, int peer) {
+  const int me = cfg_.rank;
+  const std::uint64_t len = shm_segment_bytes(cfg_);
+  if (me < peer) {
+    // The pair's lower (accepting) rank creates the segment and passes it.
+    const FdGuard seg{create_segment(peer)};
+    send_fd_with_len(fd, seg.fd, len, me, peer);
+    return;
   }
+  // The higher (dialing) rank maps it; the mapping outlives the fd. A close
+  // here is fatal: that peer committed to this build with its hello and
+  // died.
+  std::uint64_t announced = 0;
+  const FdGuard seg{recv_fd_with_len(fd, &announced, me, peer,
+                                     cfg_.tcp_connect_timeout_ms)};
+  if (announced != len) {
+    throw BspTransportError(
+        "shm segment size mismatch: rank " + std::to_string(peer) +
+            " announced " + std::to_string(announced) +
+            " bytes, this rank's shm_ring_bytes/shm_slab_bytes expect " +
+            std::to_string(len) + " (ranks launched with different configs?)",
+        me, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  adopt_segment(seg.fd, peer);
 }
 
 ShmPairView* ShmMesh::shm_pair(int pid, int peer) {
@@ -833,188 +867,6 @@ void ShmMesh::wire_views(void* base, int peer) {
   } else {
     pv.send = d1;
     pv.recv = d0;
-  }
-}
-
-void ShmMesh::do_build(int nprocs) {
-  const int me = cfg_.rank;
-  const std::size_t p = static_cast<std::size_t>(nprocs);
-  ctrl_.assign(p, -1);
-  pairs_.assign(p, ShmPairView{});
-  maps_.assign(p, Mapping{});
-
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(cfg_.tcp_connect_timeout_ms);
-
-  // 1. Listener first — the same deadlock-free shape as the TCP bootstrap:
-  // every rank's listener exists (or shortly will; dialers retry) before
-  // anyone blocks in accept.
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw BspTransportError("socket(AF_UNIX) failed", me, /*peer=*/-1,
-                            /*superstep=*/-1, /*stage=*/-1, errno,
-                            /*bytes_moved=*/0);
-  }
-  sockaddr_un sa;
-  const socklen_t salen = shm_abstract_addr(cfg_, me, &sa);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), salen) != 0) {
-    throw BspTransportError(
-        "bind of abstract socket \"gbsp-shm." + cfg_.shm_name + "." +
-            std::to_string(me) + "\" failed (another rank " +
-            std::to_string(me) + " already running under this shm_name?)",
-        me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, errno,
-        /*bytes_moved=*/0);
-  }
-  if (::listen(listen_fd_, nprocs) != 0) {
-    throw BspTransportError("listen on the shm bootstrap socket failed", me,
-                            /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                            errno, /*bytes_moved=*/0);
-  }
-
-  // 2. Dial every lower rank's listener; after the hello exchange the lower
-  // rank hands over the pair segment's memfd, which this side maps and
-  // validates. ECONNREFUSED just means that rank's listener is not up yet.
-  for (int j = 0; j < me; ++j) {
-    int fd = -1;
-    for (;;) {
-      if (Clock::now() >= deadline) {
-        throw BspTransportError(
-            "connect to rank " + std::to_string(j) +
-                "'s shm bootstrap socket timed out after "
-                "tcp_connect_timeout_ms=" +
-                std::to_string(cfg_.tcp_connect_timeout_ms) +
-                "ms (rank never launched, or died during bootstrap?)",
-            me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-            /*bytes_moved=*/0);
-      }
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd < 0) {
-        throw BspTransportError("socket(AF_UNIX) failed", me, j,
-                                /*superstep=*/-1, /*stage=*/-1, errno,
-                                /*bytes_moved=*/0);
-      }
-      sockaddr_un pa;
-      const socklen_t palen = shm_abstract_addr(cfg_, j, &pa);
-      set_io_timeout(fd, remaining_ms(deadline));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&pa), palen) == 0) {
-        // A peer that closes underneath the HANDSHAKE may be tearing down a
-        // previous incarnation — retry like a refused connect. A close
-        // during the segment HANDOFF (after a validated hello) is fatal:
-        // that peer committed to this build and died.
-        try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, /*expect_rank=*/j, "socket",
-                      "shm_name collision between runs?");
-          std::uint64_t seg_len = 0;
-          const int seg_fd = recv_fd_with_len(fd, &seg_len, me, j,
-                                              cfg_.tcp_connect_timeout_ms);
-          try {
-            if (seg_len != shm_segment_bytes(cfg_)) {
-              throw BspTransportError(
-                  "shm segment size mismatch: rank " + std::to_string(j) +
-                      " announced " + std::to_string(seg_len) +
-                      " bytes, this rank's shm_ring_bytes/shm_slab_bytes "
-                      "expect " +
-                      std::to_string(shm_segment_bytes(cfg_)) +
-                      " (ranks launched with different configs?)",
-                  me, j, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-                  /*bytes_moved=*/0);
-            }
-            adopt_segment(seg_fd, j);
-          } catch (...) {
-            ::close(seg_fd);
-            throw;
-          }
-          ::close(seg_fd);  // the mapping outlives the fd
-          break;
-        } catch (const BspTransportError& e) {
-          ::close(fd);
-          fd = -1;
-          if (e.err == ECONNRESET || e.err == EPIPE ||
-              (e.err == 0 &&
-               std::string(e.what()).find(
-                   "peer closed the connection during the rank handshake") !=
-                   std::string::npos)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            continue;
-          }
-          throw;
-        }
-      }
-      const int cerr = errno;
-      ::close(fd);
-      fd = -1;
-      if (cerr == ECONNREFUSED || cerr == ENOENT || cerr == ETIMEDOUT ||
-          cerr == EINTR || cerr == EAGAIN) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        continue;
-      }
-      throw BspTransportError(
-          "connect to rank " + std::to_string(j) +
-              "'s shm bootstrap socket failed",
-          me, j, /*superstep=*/-1, /*stage=*/-1, cerr, /*bytes_moved=*/0);
-    }
-    ctrl_[static_cast<std::size_t>(j)] = fd;
-  }
-
-  // 3. Accept every higher rank; this side creates each pair's segment and
-  // passes the fd. A failed handshake or handoff fails the whole bootstrap.
-  int expected = nprocs - 1 - me;
-  while (expected > 0) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, remaining_ms(deadline));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw BspTransportError("poll on the shm bootstrap listener failed", me,
-                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                              errno, /*bytes_moved=*/0);
-    }
-    if (pr == 0) {
-      throw BspTransportError(
-          "accept on abstract socket \"gbsp-shm." + cfg_.shm_name + "." +
-              std::to_string(me) + "\" timed out with " +
-              std::to_string(expected) +
-              " rank(s) still unconnected (tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms)",
-          me, /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw BspTransportError("accept on the shm bootstrap socket failed", me,
-                              /*peer=*/-1, /*superstep=*/-1, /*stage=*/-1,
-                              errno, /*bytes_moved=*/0);
-    }
-    set_io_timeout(fd, remaining_ms(deadline));
-    int seg_fd = -1;
-    try {
-      const RankHello h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, /*expect_rank=*/-1);
-      send_hello(fd, static_cast<int>(h.rank));
-      seg_fd = create_segment(static_cast<int>(h.rank));
-      send_fd_with_len(fd, seg_fd, shm_segment_bytes(cfg_), me,
-                       static_cast<int>(h.rank));
-      ::close(seg_fd);
-      seg_fd = -1;
-      ctrl_[h.rank] = fd;
-    } catch (...) {
-      if (seg_fd >= 0) ::close(seg_fd);
-      ::close(fd);
-      throw;
-    }
-    --expected;
-  }
-  // Bootstrap complete: close the listener so nothing can dial in mid-run.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-
-  // 4. The control streams carry no stage traffic; drop the handshake
-  // timeout so the engine's death-detection peek never sees a spurious
-  // timeout errno.
-  for (std::size_t j = 0; j < p; ++j) {
-    if (ctrl_[j] >= 0) set_io_timeout(ctrl_[j], 0);
   }
 }
 

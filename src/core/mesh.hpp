@@ -9,25 +9,26 @@
 // sectioned wire format run over in-process AF_UNIX socketpairs, over
 // AF_INET/TCP between separate OS processes, and over shared-memory rings.
 //
-// Three implementations:
+// Three meshes, two bootstraps:
 //
 //   * SocketpairMesh — the in-process mesh: all p ranks live in this process
 //     as threads, and each (i, j) pair is an AF_UNIX SOCK_STREAM socketpair
 //     ("loopback TCP" without the port bookkeeping; same syscalls, same
 //     partial-I/O behaviour).
 //
-//   * TcpMesh — the cross-process mesh: this process is exactly one rank of
-//     a p-process run (launched by tools/bsp_launch). Rank r listens on
-//     tcp_port + r; every pair (i, j) with i < j is one TCP connection that
-//     the higher rank initiates (connect, retrying while the listener comes
-//     up) and the lower rank accepts. Both ends exchange a versioned
-//     RankHello and validate it bidirectionally before the connection joins
-//     the mesh; TCP_NODELAY is set on every endpoint so the staged
-//     exchange's small control sections are not Nagle-delayed.
+//   * RankMesh — the base of the two cross-process meshes, where this
+//     process is exactly one rank of a p-process run (launched by
+//     tools/bsp_launch). It owns the one rank rendezvous (the higher rank of
+//     each pair dials, the lower accepts, both validate a RankHello); a
+//     medium supplies only where rank r listens, two cause hints for the
+//     error texts, and a post-hello link hook:
 //
-//   * ShmMesh — the cross-process mesh on one host: the same rank topology
-//     and RankHello handshake over abstract AF_UNIX sockets, after which
-//     each pair shares an fd-passed memfd segment of SPSC rings.
+//       - TcpMesh: rank r listens on tcp_host:tcp_port + r; the hook sets
+//         TCP_NODELAY (so the staged exchange's small control sections are
+//         not Nagle-delayed) and the endpoint options.
+//       - ShmMesh: rank r listens on an abstract AF_UNIX socket; the hook
+//         hands over the pair's fd-passed memfd segment of SPSC rings, and
+//         the stream stays open as the pair's control channel.
 //
 // Dirty-wire contract (shared with the transports): a mesh starts dirty, so
 // the first build() happens on the first reset_run(). A worker that unwinds
@@ -42,9 +43,12 @@
 // bounded, unless Config::socket_buffer_bytes pinned the size at build.
 #pragma once
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -83,8 +87,6 @@ class Mesh {
   Mesh(const Mesh&) = delete;
   Mesh& operator=(const Mesh&) = delete;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// True when this process owns every rank's endpoints (the in-process
   /// socketpair mesh); false for the process-mode meshes, where this process
   /// is rank Config::rank alone.
@@ -97,7 +99,8 @@ class Mesh {
   /// build() starts from scratch.
   void build(int nprocs);
 
-  /// Closes every fd this mesh owns. Idempotent.
+  /// Closes every fd this mesh owns. Idempotent. build() sets nprocs_
+  /// first, so a teardown also resets per-peer tables for the new run.
   virtual void teardown() = 0;
 
   /// The local end of pid's full-duplex stream with peer, or -1 for self
@@ -138,35 +141,21 @@ class Mesh {
   /// count flat.
   [[nodiscard]] std::uint64_t builds() const { return builds_; }
 
-  [[nodiscard]] int nprocs() const { return nprocs_; }
-
  protected:
-  /// Implementation bootstrap: create (and for TCP, connect/accept +
-  /// handshake) every endpoint. Throws BspTransportError on failure; build()
-  /// handles teardown and bookkeeping.
+  /// Implementation bootstrap: create (and in process mode, connect/accept
+  /// + handshake) every endpoint. Throws BspTransportError on failure;
+  /// build() handles teardown and bookkeeping.
   virtual void do_build(int nprocs) = 0;
-
-  /// Blocking-with-deadline exact write/read of a RankHello on a freshly
-  /// connected process-mode link (the only blocking I/O in the system;
-  /// stage traffic is non-blocking). `peer` is -1 when the sender's rank is
-  /// not yet known.
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  /// Validates a received hello against this rank's run. `expect_rank` is
-  /// the rank a dialer reached, or -1 on the accept side (any
-  /// not-yet-connected higher rank is admissible); a dialer's rank mismatch
-  /// names the `link` it reached and the likely `cause`.
-  void check_hello(const RankHello& h, int expect_rank, const char* link = "",
-                   const char* cause = "") const;
 
   /// Seeds the grow-only marks of (pid, peer) with what the kernel granted
   /// the endpoint at build, so stages that fit the default buffers never
   /// touch setsockopt.
   void seed_buffer_marks(int pid, int peer);
 
-  /// Applies the per-endpoint build-time socket options shared by both
-  /// meshes: non-blocking mode and, when Config::socket_buffer_bytes pins
-  /// the kernel buffers, one explicit SO_SNDBUF/SO_RCVBUF request.
+  /// Applies the per-endpoint build-time socket options of the meshes whose
+  /// data path is the fds: non-blocking mode and, when
+  /// Config::socket_buffer_bytes pins the kernel buffers, one explicit
+  /// SO_SNDBUF/SO_RCVBUF request.
   void apply_endpoint_options(int fd) const;
 
   const Config cfg_;
@@ -194,7 +183,6 @@ class SocketpairMesh final : public Mesh {
   explicit SocketpairMesh(const Config& cfg) : Mesh(cfg) {}
   ~SocketpairMesh() override { SocketpairMesh::teardown(); }
 
-  [[nodiscard]] const char* name() const override { return "socketpair"; }
   [[nodiscard]] bool hosts_every_rank() const override { return true; }
   void teardown() override;
   [[nodiscard]] int fd(int pid, int peer) const override;
@@ -209,29 +197,90 @@ class SocketpairMesh final : public Mesh {
   std::vector<int> fd_;
 };
 
-/// Cross-process mesh: this process is rank Config::rank of an nprocs
-/// process run. Bootstrap: every rank listens on tcp_port + rank (numeric
-/// IPv4 Config::tcp_host, SO_REUSEADDR); for each pair the higher rank
-/// connects to the lower rank's listener, retrying ECONNREFUSED until
-/// Config::tcp_connect_timeout_ms, and both ends exchange + validate a
-/// RankHello. The listener closes once every expected peer is connected.
-class TcpMesh final : public Mesh {
+/// Base of the process-mode meshes: this process is rank Config::rank of an
+/// nprocs-process run and owns one stream per peer. The bootstrap is one
+/// loop for every medium:
+///   1. listen on listener(rank) first, so across processes nobody blocks
+///      in accept before every listener exists (or shortly will);
+///   2. dial every lower rank's listener and speak first: send, then
+///      receive and validate the RankHello;
+///   3. accept every higher rank: receive and validate its hello (which says
+///      who dialed in), then answer;
+///   4. close the listener, so nothing can dial in mid-run.
+/// Each validated link gets the medium's link() hook, then loses the
+/// handshake's I/O deadline.
+///
+/// Retry rule: a dial whose connect is refused or reaches itself (the
+/// listener is not up yet), or whose peer resets or closes the link during
+/// the hello (it may be tearing down a previous incarnation), is retried
+/// every 2 ms until Config::tcp_connect_timeout_ms, the one bootstrap
+/// deadline of both media. A hello that times out or fails validation, and
+/// any failure in link(), is fatal: build() tears the partial mesh down and
+/// the mesh stays dirty.
+class RankMesh : public Mesh {
  public:
-  explicit TcpMesh(const Config& cfg) : Mesh(cfg) {}
-  ~TcpMesh() override { TcpMesh::teardown(); }
+  ~RankMesh() override { RankMesh::teardown(); }
 
-  [[nodiscard]] const char* name() const override { return "tcp"; }
   void teardown() override;
-  [[nodiscard]] int fd(int pid, int peer) const override;
-  void kill_endpoints(int pid) override;
+  [[nodiscard]] int fd(int pid, int peer) const final;
+  void kill_endpoints(int pid) final;
 
  protected:
-  void do_build(int nprocs) override;
+  /// A rank's listening address, and the name error texts give it.
+  struct Endpoint {
+    sockaddr_storage addr{};
+    socklen_t len = 0;
+    std::string name;
+  };
+
+  /// `bind_cause` is the likely cause of a failed bind of this rank's
+  /// listener; `skew_cause` the likely cause of a dialer reaching the wrong
+  /// rank. Both end up in the error texts.
+  RankMesh(const Config& cfg, const char* bind_cause, const char* skew_cause)
+      : Mesh(cfg), bind_cause_(bind_cause), skew_cause_(skew_cause) {}
+
+  void do_build(int nprocs) final;
+
+  /// Where `rank` listens.
+  [[nodiscard]] virtual Endpoint listener(int rank) const = 0;
+
+  /// Post-hello hook on the validated link `fd` with `peer`, already
+  /// fd(rank, peer); the higher rank of the pair is the dialer. Runs under
+  /// the handshake's I/O deadline; a throw fails the build.
+  virtual void link(int fd, int peer) = 0;
 
  private:
+  /// Blocking-with-deadline exact write/read of a RankHello on a fresh link
+  /// (the only blocking I/O in the system; stage traffic is non-blocking).
+  /// Both return false when the peer reset or closed the link, and throw on
+  /// a timeout or any other error. `peer` is -1 while the sender is unknown.
+  bool send_hello(int fd, int peer) const;
+  bool recv_hello(int fd, int peer, RankHello* h) const;
+  /// Validates a received hello against this rank's run. `expect_rank` is
+  /// the rank a dialer reached at listener `at`, or -1 on the accept side
+  /// (any not-yet-connected higher rank is admissible).
+  void check_hello(const RankHello& h, int expect_rank,
+                   const std::string& at = "") const;
+
   // fd_[j]: the local rank's stream with rank j; -1 for self and unbuilt.
   std::vector<int> fd_;
   int listen_fd_ = -1;
+  const char* bind_cause_;
+  const char* skew_cause_;
+};
+
+/// Cross-process TCP mesh: rank r listens on the numeric IPv4
+/// Config::tcp_host at tcp_port + r (SO_REUSEADDR, so a rebuild re-binds
+/// while the previous incarnation's sockets sit in TIME_WAIT); each pair is
+/// one TCP connection with TCP_NODELAY and the endpoint options.
+class TcpMesh final : public RankMesh {
+ public:
+  explicit TcpMesh(const Config& cfg)
+      : RankMesh(cfg, "port already in use?", "port map skewed?") {}
+
+ protected:
+  [[nodiscard]] Endpoint listener(int rank) const override;
+  void link(int fd, int peer) override;
 };
 
 /// Header page of one shm pair segment, written by the creating (lower)
@@ -252,33 +301,31 @@ struct ShmSegmentHdr {
 };
 static_assert(sizeof(ShmSegmentHdr) == 40, "shm segment header drifted");
 
-/// Cross-process shared-memory mesh: this process is rank Config::rank
-/// of an nprocs-process run on ONE host. Bootstrap reuses the TCP mesh's
-/// shape over abstract AF_UNIX sockets ("\0gbsp-shm.<shm_name>.<rank>"):
-/// the higher rank of each pair dials the lower rank's listener, both ends
-/// exchange + validate a RankHello, then the lower rank creates the pair's
-/// memfd segment (header + two direction blocks of ring/slab, see
-/// core/shm_ring.hpp) and passes the fd over the stream with SCM_RIGHTS.
-/// Both ends mmap it and keep the AF_UNIX stream open as a control channel:
-/// it carries no data, but EOF on it is how a peer's death (or an injected
-/// PeerHangup) is observed without putting a single syscall on the data
-/// path, and kill_endpoints() shuts it down. fd(pid, peer) returns that
-/// control fd.
-class ShmMesh final : public Mesh {
+/// Cross-process shared-memory mesh on ONE host: rank r listens on the
+/// abstract AF_UNIX socket "\0gbsp-shm.<shm_name>.<r>". Its link hook is the
+/// segment handoff: the lower rank of each pair creates the pair's memfd
+/// segment (header + two direction blocks of ring/slab, see
+/// core/shm_ring.hpp) and passes the fd over the stream with SCM_RIGHTS; the
+/// higher rank receives, validates and maps it. Both ends keep the AF_UNIX
+/// stream open as a control channel: it carries no data, but EOF on it is
+/// how a peer's death (or an injected PeerHangup) is observed without
+/// putting a single syscall on the data path, and kill_endpoints() shuts it
+/// down. fd(pid, peer) returns that control fd.
+class ShmMesh final : public RankMesh {
  public:
-  explicit ShmMesh(const Config& cfg) : Mesh(cfg) {}
+  explicit ShmMesh(const Config& cfg)
+      : RankMesh(cfg, "this rank already running under this shm_name?",
+                 "shm_name collision between runs?") {}
   ~ShmMesh() override { ShmMesh::teardown(); }
 
-  [[nodiscard]] const char* name() const override { return "shm"; }
   void teardown() override;
-  [[nodiscard]] int fd(int pid, int peer) const override;
-  void kill_endpoints(int pid) override;
   /// The data path is shared memory; there are no kernel buffers to size.
   void grow_kernel_buffer(int, int, bool, std::size_t) override {}
   [[nodiscard]] ShmPairView* shm_pair(int pid, int peer) override;
 
  protected:
-  void do_build(int nprocs) override;
+  [[nodiscard]] Endpoint listener(int rank) const override;
+  void link(int fd, int peer) override;
 
  private:
   struct Mapping {
@@ -296,12 +343,8 @@ class ShmMesh final : public Mesh {
   /// Slices a mapped segment into the two ShmDirViews of `peer`'s pair.
   void wire_views(void* base, int peer);
 
-  // ctrl_[j]: the bootstrap AF_UNIX stream with rank j, kept open as the
-  // death-detection control channel; -1 for self and unbuilt.
-  std::vector<int> ctrl_;
   std::vector<ShmPairView> pairs_;  // indexed by peer rank
   std::vector<Mapping> maps_;       // indexed by peer rank
-  int listen_fd_ = -1;
 };
 
 }  // namespace detail

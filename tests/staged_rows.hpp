@@ -15,6 +15,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,8 +114,13 @@ inline void peer_death_surfaces_and_mesh_rebuilds(const RankConfig& cfg_of) {
     try {
       rt.run(ping(7));  // phase 2: peer is gone
       ADD_FAILURE() << "exchange against a dead peer must throw";
-    } catch (const BspTransportError&) {
-      // expected: EOF on the stream or control channel, wire now dirty
+    } catch (const BspTransportError& e) {
+      // expected: EOF on the stream or control channel, wire now dirty —
+      // not the stage timeout, which would mean the dead rank's endpoints
+      // outlived its Runtime
+      EXPECT_EQ(std::string(e.what()).find("made no progress"),
+                std::string::npos)
+          << e.what();
     }
     rank0_failed.set_value();
     rt.run(ping(7));  // phase 3: rebuild against the new incarnation
@@ -137,19 +143,89 @@ inline void peer_death_surfaces_and_mesh_rebuilds(const RankConfig& cfg_of) {
   rank1.join();
 }
 
-/// The hello every process-mode mesh must refuse, one row per field.
-enum class BadHello { Version, Rank, Nprocs };
+// ---------------------------------------------------------------------------
+// Process-mode bootstrap rows. TcpMesh and ShmMesh run one rendezvous (the
+// RankMesh base), so every failure mode below is one body run on both media.
+// ---------------------------------------------------------------------------
 
-/// Builds `mesh`, rank 0 of 2, against a fake rank-1 peer that reaches its
-/// listener through `dial()` and speaks a hello that is wrong in `bad`. The
-/// build must fail with a descriptive BspTransportError and leave the mesh
-/// dirty.
-inline void expect_bad_hello_rejected(detail::Mesh& mesh,
-                                      const std::function<int()>& dial,
-                                      BadHello bad) {
+/// One process-mode medium as the bootstrap rows see it.
+struct Medium {
+  /// Rank r's Config of an nprocs-rank run on this medium.
+  std::function<Config(int rank, int nprocs)> cfg;
+  /// A raw client link to rank 0's listener (an impersonated peer); retries
+  /// until the listener is up.
+  std::function<int()> dial;
+  /// A raw listener on rank 0's endpoint (an impersonated rank 0).
+  std::function<int()> listen;
+  /// What the medium's dialer-side rank mismatch names as the likely cause.
+  std::string skew_cause;
+};
+
+/// The process-mode mesh `cfg.delivery` names, for rank cfg.rank.
+inline std::unique_ptr<detail::Mesh> make_mesh(const Config& cfg) {
+  if (cfg.delivery == DeliveryStrategy::Tcp) {
+    return std::make_unique<detail::TcpMesh>(cfg);
+  }
+  return std::make_unique<detail::ShmMesh>(cfg);
+}
+
+/// A valid hello of rank `rank` in an nprocs-rank run.
+inline detail::RankHello hello(int rank, int nprocs) {
   detail::RankHello h;
-  h.rank = 1;
-  h.nprocs = 2;
+  h.rank = static_cast<std::uint32_t>(rank);
+  h.nprocs = static_cast<std::uint32_t>(nprocs);
+  return h;
+}
+
+/// Writes the n bytes at `buf` to `fd` in one send.
+inline void send_all(int fd, const void* buf, std::size_t n) {
+  EXPECT_EQ(::send(fd, buf, n, MSG_NOSIGNAL), static_cast<ssize_t>(n));
+}
+
+/// Reads from `fd` until the other end closes it, then closes `fd`: a fake
+/// peer's way to stay on the link until the mesh under test gives up on it.
+inline void drain_and_close(int fd) {
+  char sink[64];
+  while (::recv(fd, sink, sizeof(sink), 0) > 0) {
+  }
+  ::close(fd);
+}
+
+/// Accepts one link on an impersonated rank 0's listener `lfd` and reads the
+/// dialer's hello (the dialer speaks first). Returns the link.
+inline int accept_hello(int lfd) {
+  const int fd = ::accept(lfd, nullptr, nullptr);
+  EXPECT_GE(fd, 0);
+  detail::RankHello in;
+  EXPECT_EQ(::recv(fd, &in, sizeof(in), MSG_WAITALL),
+            static_cast<ssize_t>(sizeof(in)));
+  return fd;
+}
+
+/// Runs `mesh.build(nprocs)`, which must fail with a BspTransportError whose
+/// text contains every needle, and leave the mesh dirty.
+inline void expect_build_fails(detail::Mesh& mesh, int nprocs,
+                               const std::vector<std::string>& needles) {
+  try {
+    mesh.build(nprocs);
+    ADD_FAILURE() << "the bootstrap must fail";
+  } catch (const BspTransportError& e) {
+    const std::string what = e.what();
+    for (const std::string& n : needles) {
+      EXPECT_NE(what.find(n), std::string::npos) << what;
+    }
+  }
+  EXPECT_TRUE(mesh.dirty()) << "a failed build must leave the mesh dirty";
+}
+
+/// The hello every process-mode mesh must refuse, one row per field.
+enum class BadHello { Version, Rank, Nprocs, Reserved };
+
+/// Builds rank 0 of 2 against a fake rank-1 peer that speaks a hello that is
+/// wrong in `bad`. The build must fail with a descriptive BspTransportError
+/// and leave the mesh dirty.
+inline void expect_bad_hello_rejected(const Medium& m, BadHello bad) {
+  detail::RankHello h = hello(1, 2);
   std::vector<std::string> needles;
   switch (bad) {
     case BadHello::Version:
@@ -164,26 +240,152 @@ inline void expect_bad_hello_rejected(detail::Mesh& mesh,
       h.nprocs = 8;  // launched with a different -p than us
       needles = {"nprocs mismatch", "8 ranks"};
       break;
+    case BadHello::Reserved:
+      h.reserved = 1;  // transmitted zero by every gbsp rank
+      needles = {"nonzero reserved field"};
+      break;
   }
+  Config cfg = m.cfg(0, 2);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  const auto mesh = make_mesh(cfg);
   std::thread fake_peer([&] {
-    const int fd = dial();
-    ASSERT_EQ(::send(fd, &h, sizeof(h), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(h)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);  // wait for the close
-    ::close(fd);
+    const int fd = m.dial();
+    send_all(fd, &h, sizeof(h));
+    drain_and_close(fd);
   });
-  try {
-    mesh.build(2);
-    ADD_FAILURE() << "a bad hello must fail the handshake";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    for (const std::string& n : needles) {
-      EXPECT_NE(what.find(n), std::string::npos) << what;
-    }
-  }
-  EXPECT_TRUE(mesh.dirty());
+  expect_build_fails(*mesh, 2, needles);
   fake_peer.join();
+}
+
+/// Rank 1 of 2 dials a rank 0 that never launches: the dial retry loop must
+/// give up at tcp_connect_timeout_ms with a message that names the missing
+/// rank and the knob, not hang.
+inline void partial_connect_times_out(const Medium& m) {
+  Config cfg = m.cfg(1, 2);
+  cfg.tcp_connect_timeout_ms = 300;
+  const auto mesh = make_mesh(cfg);
+  expect_build_fails(*mesh, 2,
+                     {"connect to rank 0", "timed out",
+                      "tcp_connect_timeout_ms=300"});
+}
+
+/// Rank 0 of 3 sees rank 1 arrive but rank 2 never does: the accept loop
+/// must report how many ranks are missing.
+inline void partial_accept_times_out(const Medium& m) {
+  Config c0 = m.cfg(0, 3);
+  c0.tcp_connect_timeout_ms = 1'500;
+  const auto mesh = make_mesh(c0);
+  std::thread half_peer([&] {
+    // Rank 1 dials rank 0 and then waits for rank 2 forever (bounded by its
+    // own timeout); its failure is expected and swallowed.
+    Config c1 = m.cfg(1, 3);
+    c1.tcp_connect_timeout_ms = 2'000;
+    EXPECT_THROW(make_mesh(c1)->build(3), BspTransportError);
+  });
+  expect_build_fails(*mesh, 3, {"timed out", "still unconnected"});
+  half_peer.join();
+}
+
+/// A peer that connects and dies before its hello fails the accepting
+/// rank's build descriptively; the same mesh object then builds clean with
+/// a real rank 1.
+inline void peer_death_during_accept(const Medium& m) {
+  Config cfg = m.cfg(0, 2);
+  cfg.tcp_connect_timeout_ms = 2'000;
+  const auto mesh = make_mesh(cfg);
+  std::thread fake_peer([&] {
+    ::close(m.dial());  // connect, then die before speaking
+  });
+  expect_build_fails(*mesh, 2, {"peer died during accept"});
+  fake_peer.join();
+
+  std::thread peer([&] {
+    const auto pm = make_mesh(m.cfg(1, 2));
+    pm->build(2);
+    EXPECT_FALSE(pm->dirty());
+  });
+  mesh->build(2);
+  EXPECT_FALSE(mesh->dirty());
+  peer.join();
+}
+
+/// An HTTP client wandering into rank 0's listener must not join the mesh.
+inline void stray_client_with_bad_magic(const Medium& m) {
+  Config cfg = m.cfg(0, 2);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  const auto mesh = make_mesh(cfg);
+  std::thread fake_peer([&] {
+    const int fd = m.dial();
+    const char junk[24] = "GET / HTTP/1.1\r\n";  // not a gbsp rank at all
+    send_all(fd, junk, sizeof(junk));
+    drain_and_close(fd);
+  });
+  expect_build_fails(*mesh, 2, {"bad magic", "not a gbsp mesh rank"});
+  fake_peer.join();
+}
+
+/// Rank 0 of 3 is dialed by two fake peers that both claim rank 1 (two
+/// processes launched with the same rank): the second hello must fail the
+/// build, whichever of the two is accepted first.
+inline void duplicate_rank_rejected(const Medium& m) {
+  Config cfg = m.cfg(0, 3);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  const auto mesh = make_mesh(cfg);
+  const auto fake_rank1 = [&] {
+    const int fd = m.dial();
+    const detail::RankHello h = hello(1, 3);
+    send_all(fd, &h, sizeof(h));
+    drain_and_close(fd);
+  };
+  std::thread a(fake_rank1);
+  std::thread b(fake_rank1);
+  expect_build_fails(*mesh, 3, {"duplicate rank handshake", "rank 1"});
+  a.join();
+  b.join();
+}
+
+/// Rank 1 dials a fake rank 0 that answers claiming rank 1: the dialer must
+/// fail with the medium's likely cause (a skewed port map, or an shm_name
+/// shared by two runs) instead of joining the wrong rank.
+inline void dialer_rank_mismatch(const Medium& m) {
+  const int lfd = m.listen();
+  std::thread fake_rank0([&] {
+    const int fd = accept_hello(lfd);
+    const detail::RankHello h = hello(1, 2);
+    send_all(fd, &h, sizeof(h));
+    drain_and_close(fd);
+    ::close(lfd);
+  });
+  Config cfg = m.cfg(1, 2);
+  cfg.tcp_connect_timeout_ms = 5'000;
+  const auto mesh = make_mesh(cfg);
+  expect_build_fails(*mesh, 2, {"rank mismatch", m.skew_cause});
+  fake_rank0.join();
+}
+
+/// A dial whose peer closes the link during the hello is retried, not
+/// fatal: the peer may be a previous incarnation tearing down. A fake rank
+/// 0 accepts rank 1's first dial, reads its hello, closes the link without
+/// answering and goes away; then the real rank 0 starts, and the SAME
+/// build() call on rank 1 completes against it.
+inline void close_during_hello_is_retried(const Medium& m) {
+  const int lfd = m.listen();
+  Config cfg = m.cfg(1, 2);
+  cfg.tcp_connect_timeout_ms = 10'000;
+  const auto mesh = make_mesh(cfg);
+  on_ranks(2, [&](int r) {
+    if (r == 1) {
+      mesh->build(2);
+      return;
+    }
+    ::close(accept_hello(lfd));
+    ::close(lfd);
+    Config c0 = m.cfg(0, 2);
+    c0.tcp_connect_timeout_ms = 5'000;
+    make_mesh(c0)->build(2);
+  });
+  EXPECT_FALSE(mesh->dirty());
+  EXPECT_EQ(mesh->builds(), 1u);
 }
 
 }  // namespace gbsp::staged_rows

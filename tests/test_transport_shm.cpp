@@ -8,14 +8,14 @@
 // which drives the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build with fd-passed pair
-// segments, the failure matrix — handshake fields, fd-pass death, geometry
-// mismatches, rank collisions — each with its descriptive
-// BspTransportError), the end-to-end Runtime exchange across ranks, mesh
-// reuse across clean runs, peer death mid-stage surfacing through the
-// control channel (and a peer's clean end-of-run teardown NOT surfacing as
-// one), and the zero-copy slab path (threshold routing, stats, epoch
-// recycling, the reuse-after-recycle guard's inline fallback). The rows
-// shared with the other meshes live in staged_rows.hpp.
+// segments, the failure matrix — the rendezvous rows shared with the tcp
+// mesh, fd-pass death, geometry mismatches, rank collisions — each with its
+// descriptive BspTransportError), the end-to-end Runtime exchange across
+// ranks, mesh reuse across clean runs, peer death mid-stage surfacing
+// through the control channel (and a peer's clean end-of-run teardown NOT
+// surfacing as one), and the zero-copy slab path (threshold routing, stats,
+// epoch recycling, the reuse-after-recycle guard's inline fallback). The
+// rows shared with the other meshes live in staged_rows.hpp.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -77,6 +77,32 @@ int dial(const std::string& name, int rank) {
   }
   EXPECT_EQ(rc, 0) << "fake peer could not reach the shm bootstrap listener";
   return fd;
+}
+
+// A raw listener on `rank`'s abstract bootstrap address for segment
+// namespace `name`, for impersonating that rank.
+int listen_as(const std::string& name, int rank) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un sa{};
+  sa.sun_family = AF_UNIX;
+  const std::string tag = "gbsp-shm." + name + "." + std::to_string(rank);
+  std::memcpy(sa.sun_path + 1, tag.data(), tag.size());
+  const socklen_t salen =
+      static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + tag.size());
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), salen), 0);
+  EXPECT_EQ(::listen(fd, 4), 0);
+  return fd;
+}
+
+// The shm medium of test slot `slot`, for the bootstrap rows shared with the
+// tcp mesh (staged_rows.hpp).
+staged_rows::Medium shm(int slot) {
+  const std::string name = seg_name(slot);
+  return {[name](int r, int p) { return rank_cfg(r, p, name); },
+          [name] { return dial(name, 0); },
+          [name] { return listen_as(name, 0); },
+          "shm_name collision between runs?"};
 }
 
 // --------------------------------------------------------------------------
@@ -169,27 +195,11 @@ TEST(ShmMeshBootstrap, PeerDiesDuringSegmentHandoffIsDescriptive) {
   // before passing the segment fd — the committed-then-died case the
   // dialer must NOT retry (unlike a handshake-phase close).
   const std::string name = seg_name(2);
+  const int lfd = listen_as(name, 0);
   std::thread fake_rank0([&] {
-    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(lfd, 0);
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    const std::string tag = "gbsp-shm." + name + ".0";
-    std::memcpy(sa.sun_path + 1, tag.data(), tag.size());
-    const socklen_t salen = static_cast<socklen_t>(
-        offsetof(sockaddr_un, sun_path) + 1 + tag.size());
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&sa), salen), 0);
-    ASSERT_EQ(::listen(lfd, 1), 0);
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    detail::RankHello in;
-    ASSERT_EQ(::recv(fd, &in, sizeof(in), MSG_WAITALL),
-              static_cast<ssize_t>(sizeof(in)));
-    detail::RankHello out;  // valid hello claiming rank 0 of 2
-    out.rank = 0;
-    out.nprocs = 2;
-    ASSERT_EQ(::send(fd, &out, sizeof(out), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(out)));
+    const int fd = staged_rows::accept_hello(lfd);
+    const detail::RankHello out = staged_rows::hello(0, 2);  // a valid hello
+    staged_rows::send_all(fd, &out, sizeof(out));
     ::close(fd);  // die instead of passing the memfd
     ::close(lfd);
   });
@@ -228,33 +238,14 @@ TEST(ShmMeshBootstrap, SegmentDataWithoutFdIsDescriptive) {
   // SCM_RIGHTS cmsg — stream data from something that is not a gbsp shm
   // rank must be diagnosed, not mmap'd.
   const std::string name = seg_name(3);
+  const int lfd = listen_as(name, 0);
   std::thread fake_rank0([&] {
-    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(lfd, 0);
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    const std::string tag = "gbsp-shm." + name + ".0";
-    std::memcpy(sa.sun_path + 1, tag.data(), tag.size());
-    const socklen_t salen = static_cast<socklen_t>(
-        offsetof(sockaddr_un, sun_path) + 1 + tag.size());
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&sa), salen), 0);
-    ASSERT_EQ(::listen(lfd, 1), 0);
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    detail::RankHello in;
-    ASSERT_EQ(::recv(fd, &in, sizeof(in), MSG_WAITALL),
-              static_cast<ssize_t>(sizeof(in)));
-    detail::RankHello out;
-    out.rank = 0;
-    out.nprocs = 2;
-    ASSERT_EQ(::send(fd, &out, sizeof(out), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(out)));
+    const int fd = staged_rows::accept_hello(lfd);
+    const detail::RankHello out = staged_rows::hello(0, 2);
+    staged_rows::send_all(fd, &out, sizeof(out));
     const std::uint64_t len = 1 << 20;  // a length word, no cmsg
-    ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(len)));
-    char sink[16];
-    (void)::recv(fd, sink, sizeof(sink), 0);  // wait for the close
-    ::close(fd);
+    staged_rows::send_all(fd, &len, sizeof(len));
+    staged_rows::drain_and_close(fd);  // wait for the close
     ::close(lfd);
   });
   Config cfg = rank_cfg(1, 2, name);
@@ -338,51 +329,53 @@ TEST(ShmMeshBootstrap, SegmentSizeMismatchIsDescriptive) {
   rank0.join();
 }
 
-// The handshake matrix, one row per field, as on the tcp mesh.
-void expect_bad_hello_rejected(int slot, staged_rows::BadHello bad) {
-  const std::string name = seg_name(slot);
-  Config cfg = rank_cfg(0, 2, name);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::ShmMesh mesh(cfg);
-  staged_rows::expect_bad_hello_rejected(
-      mesh, [&name] { return dial(name, 0); }, bad);
-}
+// The rows below run on the tcp mesh too (staged_rows.hpp).
 
 TEST(ShmMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
-  expect_bad_hello_rejected(13, staged_rows::BadHello::Version);
+  staged_rows::expect_bad_hello_rejected(shm(13),
+                                         staged_rows::BadHello::Version);
 }
 
 TEST(ShmMeshBootstrap, HandshakeRankMismatchIsDescriptive) {
-  expect_bad_hello_rejected(14, staged_rows::BadHello::Rank);
+  staged_rows::expect_bad_hello_rejected(shm(14), staged_rows::BadHello::Rank);
 }
 
 TEST(ShmMeshBootstrap, HandshakeNprocsMismatchIsDescriptive) {
-  expect_bad_hello_rejected(15, staged_rows::BadHello::Nprocs);
+  staged_rows::expect_bad_hello_rejected(shm(15),
+                                         staged_rows::BadHello::Nprocs);
+}
+
+TEST(ShmMeshBootstrap, HandshakeReservedFieldIsDescriptive) {
+  staged_rows::expect_bad_hello_rejected(shm(19),
+                                         staged_rows::BadHello::Reserved);
 }
 
 TEST(ShmMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
-  const std::string name = seg_name(6);
-  std::thread fake_peer([&] {
-    const int fd = dial(name, 0);
-    const char junk[24] = "GET / HTTP/1.1\r\n";  // not a gbsp rank at all
-    ASSERT_EQ(::send(fd, junk, sizeof(junk), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(junk)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);
-    ::close(fd);
-  });
-  Config cfg = rank_cfg(0, 2, name);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::ShmMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "an HTTP client wandering in must not join the mesh";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  staged_rows::stray_client_with_bad_magic(shm(6));
+}
+
+TEST(ShmMeshBootstrap, PartialConnectTimesOutDescriptively) {
+  staged_rows::partial_connect_times_out(shm(16));
+}
+
+TEST(ShmMeshBootstrap, PartialAcceptTimesOutDescriptively) {
+  staged_rows::partial_accept_times_out(shm(17));
+}
+
+TEST(ShmMeshBootstrap, PeerDeathDuringAcceptIsDescriptive) {
+  staged_rows::peer_death_during_accept(shm(18));
+}
+
+TEST(ShmMeshBootstrap, DuplicateRankHandshakeIsDescriptive) {
+  staged_rows::duplicate_rank_rejected(shm(20));
+}
+
+TEST(ShmMeshBootstrap, DialerRankMismatchIsDescriptive) {
+  staged_rows::dialer_rank_mismatch(shm(21));
+}
+
+TEST(ShmMeshBootstrap, CloseDuringHelloIsRetried) {
+  staged_rows::close_during_hello_is_retried(shm(22));
 }
 
 // --------------------------------------------------------------------------

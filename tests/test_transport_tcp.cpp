@@ -6,10 +6,12 @@
 // scripts/run_tcp_smoke.sh, which drives the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build, every failure mode
-// with its descriptive BspTransportError, reusability after failure), the
-// end-to-end Runtime exchange across ranks, mesh reuse across clean runs,
-// and peer death surfacing as BspTransportError + wire-dirty rebuild. The
-// rows shared with the other meshes live in staged_rows.hpp.
+// with its descriptive BspTransportError, reusability after failure, the
+// dialer's retry of a link closed during the hello), the end-to-end Runtime
+// exchange across ranks, mesh reuse across clean runs, and peer death
+// surfacing as BspTransportError + wire-dirty rebuild. The rows shared with
+// the other meshes live in staged_rows.hpp; every bootstrap failure row but
+// the port squatter runs on the shm mesh too.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -32,11 +34,17 @@
 namespace gbsp {
 namespace {
 
-// Each test gets its own 64-port window; the base is derived from the pid so
-// parallel ctest invocations of this binary do not fight over ports.
+// Each test slot gets its own 4-port window (no test runs more than 4
+// ranks) inside a 128-port block picked by the pid, so concurrent
+// invocations of this binary do not fight over ports. Slots stay below 32,
+// so no window spills into a neighbouring block, and `ctest -j` (one process
+// per test, each with its own slot) never shares a window. All blocks lie in
+// [21000, 32648), below Linux's default ephemeral range (32768-60999): a
+// listener port there can be held by some connection's TIME_WAIT source
+// port, and a dial to an absent listener there can connect to itself.
 int port_base(int test_slot) {
-  const int pid_slice = static_cast<int>(::getpid()) % 320;
-  return 21000 + pid_slice * 128 + test_slot * 16;
+  const int pid_slice = static_cast<int>(::getpid()) % 91;
+  return 21000 + pid_slice * 128 + test_slot * 4;
 }
 
 Config rank_cfg(int rank, int nprocs, int port) {
@@ -67,6 +75,32 @@ int dial(int port) {
   }
   EXPECT_EQ(rc, 0) << "fake peer could not reach the mesh listener";
   return fd;
+}
+
+// A raw listener on 127.0.0.1:port, for impersonating a rank (or squatting
+// on its port). SO_REUSEADDR, as the mesh's own listener, so the real rank
+// can re-bind the port while this one's links sit in TIME_WAIT.
+int listen_on(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const int one = 1;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  EXPECT_EQ(::listen(fd, 4), 0);
+  return fd;
+}
+
+// The tcp medium of test slot `slot`, for the bootstrap rows shared with the
+// shm mesh (staged_rows.hpp).
+staged_rows::Medium tcp(int slot) {
+  const int base = port_base(slot);
+  return {[base](int r, int p) { return rank_cfg(r, p, base); },
+          [base] { return dial(base); }, [base] { return listen_on(base); },
+          "port map skewed?"};
 }
 
 // --------------------------------------------------------------------------
@@ -118,14 +152,7 @@ TEST(TcpMeshBootstrap, FullMeshAcrossFourRanks) {
 TEST(TcpMeshBootstrap, PortAlreadyInUseIsDescriptive) {
   const int base = port_base(1);
   // Occupy rank 0's port with a plain listener that is NOT a mesh rank.
-  const int squatter = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(squatter, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(base));
-  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
-  ASSERT_EQ(::bind(squatter, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  ASSERT_EQ(::listen(squatter, 1), 0);
+  const int squatter = listen_on(base);
 
   Config cfg = rank_cfg(0, 2, base);
   cfg.tcp_connect_timeout_ms = 2'000;
@@ -159,131 +186,53 @@ TEST(TcpMeshBootstrap, PortAlreadyInUseIsDescriptive) {
   peer.join();
 }
 
+// The failure rows below run on the shm mesh too (staged_rows.hpp).
+
 TEST(TcpMeshBootstrap, PartialConnectTimesOutDescriptively) {
-  // Rank 1 of 2 dials a rank 0 that never launches: the connect retry loop
-  // must give up at tcp_connect_timeout_ms with a message that names the
-  // missing rank, not hang.
-  Config cfg = rank_cfg(1, 2, port_base(2));
-  cfg.tcp_connect_timeout_ms = 300;
-  detail::TcpMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "connect to a never-launched rank must time out";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("connect to rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-    EXPECT_NE(what.find("tcp_connect_timeout_ms=300"), std::string::npos)
-        << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
+  staged_rows::partial_connect_times_out(tcp(2));
 }
 
 TEST(TcpMeshBootstrap, PartialAcceptTimesOutDescriptively) {
-  // Rank 0 of 3 sees rank 1 arrive but rank 2 never does: the accept loop
-  // must report how many ranks are missing.
-  const int base = port_base(3);
-  Config c0 = rank_cfg(0, 3, base);
-  c0.tcp_connect_timeout_ms = 1'500;
-  detail::TcpMesh mesh(c0);
-  std::thread half_peer([&] {
-    // Rank 1 dials rank 0 and then waits for rank 2 forever (bounded by its
-    // own timeout); its failure is expected and swallowed.
-    Config c1 = rank_cfg(1, 3, base);
-    c1.tcp_connect_timeout_ms = 2'000;
-    detail::TcpMesh pm(c1);
-    EXPECT_THROW(pm.build(3), BspTransportError);
-  });
-  try {
-    mesh.build(3);
-    FAIL() << "bootstrap with an absent rank must time out";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-    EXPECT_NE(what.find("still unconnected"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  half_peer.join();
-}
-
-// The handshake matrix, one row per field; the shm mesh runs the same rows.
-void expect_bad_hello_rejected(int slot, staged_rows::BadHello bad) {
-  const int base = port_base(slot);
-  Config cfg = rank_cfg(0, 2, base);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::TcpMesh mesh(cfg);
-  staged_rows::expect_bad_hello_rejected(mesh, [base] { return dial(base); },
-                                         bad);
+  staged_rows::partial_accept_times_out(tcp(3));
 }
 
 TEST(TcpMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
-  expect_bad_hello_rejected(4, staged_rows::BadHello::Version);
+  staged_rows::expect_bad_hello_rejected(tcp(4),
+                                         staged_rows::BadHello::Version);
 }
 
 TEST(TcpMeshBootstrap, HandshakeRankMismatchIsDescriptive) {
-  expect_bad_hello_rejected(5, staged_rows::BadHello::Rank);
+  staged_rows::expect_bad_hello_rejected(tcp(5), staged_rows::BadHello::Rank);
 }
 
 TEST(TcpMeshBootstrap, HandshakeNprocsMismatchIsDescriptive) {
-  expect_bad_hello_rejected(6, staged_rows::BadHello::Nprocs);
+  staged_rows::expect_bad_hello_rejected(tcp(6),
+                                         staged_rows::BadHello::Nprocs);
+}
+
+TEST(TcpMeshBootstrap, HandshakeReservedFieldIsDescriptive) {
+  staged_rows::expect_bad_hello_rejected(tcp(14),
+                                         staged_rows::BadHello::Reserved);
 }
 
 TEST(TcpMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
-  const int base = port_base(7);
-  std::thread fake_peer([&] {
-    const int fd = dial(base);
-    const char junk[24] = "GET / HTTP/1.1\r\n";  // not a gbsp rank at all
-    ASSERT_EQ(::send(fd, junk, sizeof(junk), 0),
-              static_cast<ssize_t>(sizeof(junk)));
-    char sink[64];
-    (void)::recv(fd, sink, sizeof(sink), 0);
-    ::close(fd);
-  });
-  Config cfg = rank_cfg(0, 2, base);
-  cfg.tcp_connect_timeout_ms = 5'000;
-  detail::TcpMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "an HTTP client wandering in must not join the mesh";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
-    EXPECT_NE(what.find("not a gbsp mesh rank"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  staged_rows::stray_client_with_bad_magic(tcp(7));
 }
 
 TEST(TcpMeshBootstrap, PeerDeathDuringAcceptIsDescriptive) {
-  const int base = port_base(8);
-  std::thread fake_peer([&] {
-    const int fd = dial(base);
-    ::close(fd);  // connect, then die before speaking
-  });
-  Config cfg = rank_cfg(0, 2, base);
-  cfg.tcp_connect_timeout_ms = 2'000;
-  detail::TcpMesh mesh(cfg);
-  try {
-    mesh.build(2);
-    FAIL() << "a peer dying between connect and hello must fail the build";
-  } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("peer died during accept"), std::string::npos)
-        << what;
-  }
-  EXPECT_TRUE(mesh.dirty());
-  fake_peer.join();
+  staged_rows::peer_death_during_accept(tcp(8));
+}
 
-  // Reusable: a real rank 1 arrives and the same mesh object builds clean.
-  std::thread peer([&] {
-    Config pc = rank_cfg(1, 2, base);
-    detail::TcpMesh pm(pc);
-    pm.build(2);
-    EXPECT_FALSE(pm.dirty());
-  });
-  mesh.build(2);
-  EXPECT_FALSE(mesh.dirty());
-  peer.join();
+TEST(TcpMeshBootstrap, DuplicateRankHandshakeIsDescriptive) {
+  staged_rows::duplicate_rank_rejected(tcp(15));
+}
+
+TEST(TcpMeshBootstrap, DialerRankMismatchIsDescriptive) {
+  staged_rows::dialer_rank_mismatch(tcp(16));
+}
+
+TEST(TcpMeshBootstrap, CloseDuringHelloIsRetried) {
+  staged_rows::close_during_hello_is_retried(tcp(17));
 }
 
 // --------------------------------------------------------------------------
