@@ -32,7 +32,18 @@ for bin in "${launch}" "${probe}" "${suite}"; do
   fi
 done
 
-port=$((20000 + ($$ % 40000)))
+# The tcp port base, from this shell's pid. Every loop shifts it by 192, so
+# the span keeps each loop's whole window [port, port + nprocs - 1] inside
+# [1024, 21000): below Linux's ephemeral range (32768-60999), where a
+# listener's port can already be some connection's source port, and below
+# the port blocks of test_transport_tcp (21000-32647).
+loops=$(wc -w <<< "${transports}")
+span=$((21000 - 1024 - 192 * (loops - 1) - nprocs + 1))
+if (( span < 1 )); then
+  echo "run_proc_smoke: ${nprocs} ranks do not fit below port 21000" >&2
+  exit 2
+fi
+port=$((1024 + ($$ % span)))
 
 echo "=== proc smoke: launcher rejects a bad invocation cleanly"
 if "${launch}" -p 0 -- true 2>/dev/null; then

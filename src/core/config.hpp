@@ -117,21 +117,20 @@ struct Config {
   /// BspTransportError instead of hanging on a dead or wedged peer.
   std::size_t socket_stage_timeout_ms = 10'000;
 
-  /// Socket transport: idle-wait backoff inside a stage. When neither
-  /// direction can make progress the worker polls its two stage sockets,
-  /// starting at the initial wait and doubling up to the cap (bounded
-  /// exponential backoff). Shorter waits detect aborts faster; longer waits
-  /// burn less CPU while a slow peer computes.
+  /// Staged transports: the idle-wait backoff. Past the spin budget an idle
+  /// stage polls its fds for the initial wait, doubling up to the cap; shm
+  /// rings nap from 50 us up to the same cap. Shorter waits detect aborts
+  /// faster; longer waits burn less CPU while a slow peer computes. The
+  /// whole waiting policy is documented once, at detail::Waiter
+  /// (core/exchange_engine.hpp).
   std::size_t socket_backoff_initial_ms = 1;
   std::size_t socket_backoff_max_ms = 50;
 
-  /// Socket transport: adaptive spin-then-poll wait policy. After both
-  /// directions of a stage hit EAGAIN, the worker keeps retrying the
-  /// non-blocking pumps (yielding the CPU between attempts, so an
-  /// oversubscribed host hands the core to the peer) for this long before
-  /// falling back to poll() with the bounded backoff above. Spinning skips
-  /// the sleep/wake round trip when the peer is only microseconds behind;
-  /// 0 disables the spin phase and polls immediately.
+  /// Staged transports: the spin budget. After a round of pumps moves
+  /// nothing, the worker keeps re-pumping (yielding the CPU in between, so
+  /// an oversubscribed host hands the core to the peer) for this long since
+  /// the last progress — 64x this on shm rings — before it polls or naps
+  /// with the backoff above (detail::Waiter). 0 disables the spin phase.
   std::size_t socket_spin_us = 50;
 
   /// Socket transport: upper bound on a single message's payload on the
@@ -162,7 +161,9 @@ struct Config {
 
   /// TCP transport: base port of the run's port window. Rank r listens on
   /// tcp_port + r, so a p-process run occupies [tcp_port, tcp_port + p - 1].
-  int tcp_port = 47100;
+  /// The default lies below Linux's ephemeral range (32768-60999), where a
+  /// listener's port can already be some connection's source port.
+  int tcp_port = 17100;
 
   /// Process mode (tcp and shm): the one bootstrap deadline of both meshes
   /// (core/mesh.hpp, RankMesh). Covers the dial retry loop (peers start at

@@ -78,6 +78,8 @@ void ExchangeEngine::attach(int pid, int nprocs) {
   zc_alloc_.assign(static_cast<std::size_t>(nprocs), ZcAlloc{});
   zc_out_.assign(static_cast<std::size_t>(nprocs), {});
   zc_in_.clear();
+  // A Serialized exchange waits on every hosted rank's window at once.
+  waiter_.reserve(static_cast<std::size_t>(nprocs));
 }
 
 void ExchangeEngine::reset_for_reuse() {
@@ -606,170 +608,64 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
   return moved;
 }
 
-bool ExchangeEngine::peer_closed(WorkerState& st, const StageState& ss,
-                                 int peer) {
-  const int fd = links_[static_cast<std::size_t>(peer)].fd;
-  if (fd < 0) return false;
-  char b;
-  const ssize_t r = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-  // EOF on the bootstrap control stream: the peer process exited (or its
-  // endpoints were killed).
-  if (r == 0) return true;
-  if (r > 0) {
-    // Nothing is ever sent on the control stream after bootstrap.
-    throw BspTransportError(
-        "unexpected bytes on the shm control channel (stream corruption?)",
-        st.pid, peer, static_cast<std::int64_t>(st.superstep), ss.k,
-        /*err=*/0, ss.send_moved + ss.recv_moved);
+int ExchangeEngine::closed_peer(WorkerState& st) {
+  const StageState& ss = split_ss_;
+  for (const int peer : {ss.send_done ? -1 : send_peer(ss),
+                         ss.recv_done ? -1 : recv_peer(ss)}) {
+    if (peer < 0) continue;
+    const int fd = links_[static_cast<std::size_t>(peer)].fd;
+    if (fd < 0) continue;
+    char b;
+    const ssize_t r = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
+    // EOF on the bootstrap control stream: the peer process exited (or its
+    // endpoints were killed).
+    if (r == 0) return peer;
+    if (r > 0) {
+      // Nothing is ever sent on the control stream after bootstrap.
+      idle_failure(st,
+                   "unexpected bytes on the shm control channel (stream "
+                   "corruption?)",
+                   peer, 0);
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      idle_failure(st, "shm control channel failed", peer, errno);
+    }
   }
-  if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-    throw BspTransportError("shm control channel failed", st.pid, peer,
-                            static_cast<std::int64_t>(st.superstep), ss.k,
-                            errno, ss.send_moved + ss.recv_moved);
-  }
-  return false;
+  return -1;
 }
 
-void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
-  using Clock = std::chrono::steady_clock;
-  const Link& out = links_[static_cast<std::size_t>(send_peer(ss))];
-  const Link& in = links_[static_cast<std::size_t>(recv_peer(ss))];
-  // Rings are memory: there is nothing to poll, so an idle ring stage naps
-  // and probes the control streams instead.
-  const bool rings = out.ring != nullptr || in.ring != nullptr;
-  auto last_progress = Clock::now();
-  std::size_t backoff_ms = cfg_->socket_backoff_initial_ms;
-  // The shm idle nap is microsecond-scale: unlike poll(), which wakes the
-  // moment the peer writes, a sleep against a memory ring is blind — the
-  // full nap is paid even if the ring fills immediately. Millisecond naps
-  // would dominate every stage on an oversubscribed host (ranks > cores),
-  // where a peer is one scheduler quantum — not one poll wake-up — away.
-  constexpr std::size_t kShmNapInitialUs = 50;
-  std::size_t backoff_us = kShmNapInitialUs;
-  for (;;) {
-    // Pump both directions each round: interleaving is what makes the
-    // full-duplex stage deadlock-free when transfers exceed kernel buffers
-    // (everyone drains the stream they are the stage-k reader of).
-    std::size_t moved = 0;
-    if (!ss.send_done) moved += pump_send(st, ss);
-    if (!ss.recv_done) moved += pump_recv(st, ss);
-    if (ss.send_done && ss.recv_done) return;
-    if (moved != 0) {
-      last_progress = Clock::now();
-      backoff_ms = cfg_->socket_backoff_initial_ms;
-      backoff_us = kShmNapInitialUs;
-      continue;
-    }
-    if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
-      throw BspAborted{};
-    }
-    const auto idle = Clock::now() - last_progress;
-    if (idle > std::chrono::milliseconds(cfg_->socket_stage_timeout_ms)) {
-      throw BspTransportError(
-          "stage made no progress for " +
-              std::to_string(cfg_->socket_stage_timeout_ms) +
-              " ms (peer dead or wedged)",
-          st.pid, recv_peer(ss), static_cast<std::int64_t>(st.superstep),
-          ss.k, /*err=*/0, ss.send_moved + ss.recv_moved);
-    }
-    // Adaptive wait: a peer in the same boundary is typically microseconds
-    // away, so retry the non-blocking pumps for the spin budget (yielding
-    // the core each round for oversubscribed hosts) before paying a poll.
-    // On shm the spin budget is stretched: a yield round-robins the ranks
-    // sharing the host's cores (each yield is a cheap handoff to a peer that
-    // may be about to write this ring), where a nap is a blind wait.
-    const std::size_t spin_us =
-        rings ? cfg_->socket_spin_us * 64 : cfg_->socket_spin_us;
-    if (idle < std::chrono::microseconds(spin_us)) {
-      std::this_thread::yield();
-      continue;
-    }
-    if (rings) {
-      // Past the spin budget, probe the bootstrap control channels for peer
-      // death (the one failure the data path cannot observe), then sleep
-      // with the same bounded exponential backoff the socket path uses.
-      // These probes only run while idle, so the zero-syscall steady state
-      // is preserved.
-      int dead = -1;
-      if (!ss.send_done && peer_closed(st, ss, send_peer(ss))) {
-        dead = send_peer(ss);
-      } else if (!ss.recv_done && peer_closed(st, ss, recv_peer(ss))) {
-        dead = recv_peer(ss);
-      }
-      if (dead >= 0) {
-        // A peer that already wrote its whole last stage may finish and
-        // tear down between the empty pump above and this probe: drain once
-        // more, and report a death only if the stage still cannot complete.
-        if (!ss.send_done) pump_send(st, ss);
-        if (!ss.recv_done) pump_recv(st, ss);
-        if (ss.send_done && ss.recv_done) return;
-        throw BspTransportError(
-            "peer closed its endpoint mid-stage (peer death)", st.pid, dead,
-            static_cast<std::int64_t>(st.superstep), ss.k, /*err=*/0,
-            ss.send_moved + ss.recv_moved);
-      }
-      if (const auto d = syscall_fault(st, ss, FaultSite::PollCall,
-                                       recv_peer(ss), 0)) {
-        (void)d;  // Eintr/Eagain: skip this wait round
-        backoff_us = std::min(backoff_us * 2,
-                              cfg_->socket_backoff_max_ms * 1000);
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us =
-          std::min(backoff_us * 2, cfg_->socket_backoff_max_ms * 1000);
-      continue;
-    }
-    // Idle past the spin budget: wait for either direction to open up,
-    // bounded so aborts and timeouts are noticed (bounded exponential
-    // backoff).
-    struct pollfd fds[2];
-    nfds_t nfds = 0;
-    if (!ss.send_done) {
-      fds[nfds].fd = out.fd;
-      fds[nfds].events = POLLOUT;
-      fds[nfds].revents = 0;
-      ++nfds;
-    }
-    if (!ss.recv_done) {
-      if (nfds == 1 && fds[0].fd == in.fd) {
-        fds[0].events |= POLLIN;
-      } else {
-        fds[nfds].fd = in.fd;
-        fds[nfds].events = POLLIN;
-        fds[nfds].revents = 0;
-        ++nfds;
-      }
-    }
-    if (const auto d = syscall_fault(st, ss, FaultSite::PollCall,
-                                     recv_peer(ss), 0)) {
-      // Eintr/Eagain: skip this poll round as if it was interrupted; the
-      // loop re-pumps and re-polls with the next backoff step.
-      (void)d;
-      backoff_ms = std::min(backoff_ms * 2, cfg_->socket_backoff_max_ms);
-      continue;
-    }
-    if (::poll(fds, nfds, static_cast<int>(backoff_ms)) < 0 &&
-        errno != EINTR) {
-      // A real poll failure (EBADF after an injected hangup, ENOMEM) must be
-      // diagnosed, not spun on: retrying would busy-loop until the stage
-      // timeout with no chance of progress.
-      throw BspTransportError("poll on stage sockets failed", st.pid,
-                              recv_peer(ss),
-                              static_cast<std::int64_t>(st.superstep), ss.k,
-                              errno, ss.send_moved + ss.recv_moved);
-    }
-    backoff_ms = std::min(backoff_ms * 2, cfg_->socket_backoff_max_ms);
+void ExchangeEngine::add_poll_fds(std::vector<pollfd>& fds) const {
+  const StageState& ss = split_ss_;
+  if (!ss.send_done) {
+    fds.push_back({links_[static_cast<std::size_t>(send_peer(ss))].fd,
+                   POLLOUT, 0});
+  }
+  if (!ss.recv_done) {
+    fds.push_back({links_[static_cast<std::size_t>(recv_peer(ss))].fd,
+                   POLLIN, 0});
   }
 }
 
-bool ExchangeEngine::pump_window(WorkerState& st) {
+void ExchangeEngine::idle_failure(const WorkerState& st,
+                                  const std::string& what, int peer,
+                                  int err) const {
+  throw BspTransportError(what, st.pid, peer,
+                          static_cast<std::int64_t>(st.superstep), split_ss_.k,
+                          err, split_ss_.send_moved + split_ss_.recv_moved);
+}
+
+std::size_t ExchangeEngine::pump_window(WorkerState& st) {
+  std::size_t total = 0;
   bool moved_any = true;
   while (!split_done_ && moved_any) {
     StageState& ss = split_ss_;
     std::size_t moved = 0;
+    // Pump both directions each round: interleaving is what makes the
+    // full-duplex stage deadlock-free when transfers exceed kernel buffers
+    // (everyone drains the stream they are the stage-k reader of).
     if (!ss.send_done) moved += pump_send(st, ss);
     if (!ss.recv_done) moved += pump_recv(st, ss);
+    total += moved;
     if (ss.send_done && ss.recv_done) {
       if (ss.k + 1 < nprocs_) {
         begin_stage(ss, ss.k + 1);
@@ -780,7 +676,7 @@ bool ExchangeEngine::pump_window(WorkerState& st) {
     }
     moved_any = moved != 0;
   }
-  return split_done_;
+  return total;
 }
 
 void ExchangeEngine::begin_window(WorkerState& st) {
@@ -795,17 +691,95 @@ void ExchangeEngine::begin_window(WorkerState& st) {
   }
 }
 
-void ExchangeEngine::finish_window(WorkerState& st) {
-  while (!split_done_) {
-    // run_stage resumes the in-flight stage mid-transfer — the iovec
-    // cursors and receive phase pick up exactly where the window's last
-    // pump left them.
-    run_stage(st, split_ss_);
-    if (split_ss_.k + 1 < nprocs_) {
-      begin_stage(split_ss_, split_ss_.k + 1);
-    } else {
-      split_done_ = true;
+void ExchangeEngine::finish_windows(std::span<const Window> ws) {
+  Waiter& wait = ws.front().eng->waiter_;
+  wait.progressed();
+  for (;;) {
+    std::size_t moved = 0;
+    bool done = true;
+    for (const Window& w : ws) {
+      moved += w.eng->pump_window(*w.st);
+      done = done && w.eng->window_done();
     }
+    if (done) return;
+    if (moved != 0) {
+      wait.progressed();
+    } else {
+      wait.step(ws);
+    }
+  }
+}
+
+void Waiter::progressed() {
+  last_progress_ = std::chrono::steady_clock::now();
+  backoff_us_ = 0;
+}
+
+void Waiter::step(std::span<const Window> ws) {
+  if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
+    throw BspAborted{};
+  }
+  // The first window in flight names a timeout or a failed poll. One mesh
+  // is one medium, so it also tells rings from fds.
+  const Window& first =
+      *std::find_if(ws.begin(), ws.end(),
+                    [](const Window& w) { return !w.eng->window_done(); });
+  const ExchangeEngine& fe = *first.eng;
+  const WorkerState& fst = *first.st;
+  const bool rings = fe.on_rings();
+  const auto idle = std::chrono::steady_clock::now() - last_progress_;
+  if (idle > std::chrono::milliseconds(cfg_->socket_stage_timeout_ms)) {
+    fe.idle_failure(fst,
+                    "stage made no progress for " +
+                        std::to_string(cfg_->socket_stage_timeout_ms) +
+                        " ms (peer dead or wedged)",
+                    fe.recv_peer(fe.split_ss_), 0);
+  }
+  if (idle < std::chrono::microseconds(rings ? cfg_->socket_spin_us * 64
+                                             : cfg_->socket_spin_us)) {
+    std::this_thread::yield();
+    return;
+  }
+  bool skip = false;
+  for (const Window& w : ws) {
+    ExchangeEngine& e = *w.eng;
+    if (e.window_done()) continue;
+    if (const int dead = rings ? e.closed_peer(*w.st) : -1; dead >= 0) {
+      if (e.pump_window(*w.st) != 0 || e.window_done()) {
+        progressed();
+        return;
+      }
+      e.idle_failure(*w.st, "peer closed its endpoint mid-stage (peer death)",
+                     dead, 0);
+    }
+    // Eintr/Eagain skip this wait; finish_windows re-pumps and waits again
+    // with the next backoff step.
+    skip = e.syscall_fault(*w.st, e.split_ss_, FaultSite::PollCall,
+                           e.recv_peer(e.split_ss_), 0)
+               .has_value() ||
+           skip;
+  }
+  constexpr std::size_t kShmNapInitialUs = 50;
+  const std::size_t wait_us =
+      backoff_us_ != 0 ? backoff_us_
+      : rings          ? kShmNapInitialUs
+                       : cfg_->socket_backoff_initial_ms * 1000;
+  backoff_us_ = std::min(wait_us * 2, cfg_->socket_backoff_max_ms * 1000);
+  if (skip) return;
+  if (rings) {
+    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
+    return;
+  }
+  fds_.clear();
+  for (const Window& w : ws) w.eng->add_poll_fds(fds_);
+  if (::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
+             static_cast<int>(wait_us / 1000)) < 0 &&
+      errno != EINTR) {
+    // A real poll failure (EBADF after an injected hangup, ENOMEM) must be
+    // diagnosed, not spun on: retrying would busy-loop until the stage
+    // timeout with no chance of progress.
+    fe.idle_failure(fst, "poll on stage sockets failed",
+                    fe.recv_peer(fe.split_ss_), errno);
   }
 }
 

@@ -32,10 +32,11 @@
 // itself kept the machines in step. Stream framing keeps consecutive
 // supersteps unambiguous even when one worker runs ahead.
 //
-// Waiting is adaptive spin-then-poll: after both directions hit EAGAIN the
-// worker retries the non-blocking pumps for Config::socket_spin_us (yielding
-// between attempts, so oversubscribed hosts hand the core to the peer)
-// before falling back to poll with bounded exponential backoff.
+// One loop pumps every boundary: pump_window advances an open window
+// through the schedule without blocking, and finish_windows runs it to the
+// end — one window per worker in Parallel mode, every hosted rank's window
+// at once in Serialized mode — taking one Waiter step (below, which holds
+// the whole waiting policy) whenever a round of pumps moves nothing.
 //
 // Links: attach() picks each pair's data path once. When the mesh exposes a
 // shared-memory pair view (Mesh::shm_pair, non-null for ShmMesh) the pair is
@@ -43,9 +44,9 @@
 // (core/shm_ring.hpp) on the same iovec cursors — the one sectioned state
 // machine, validation, fault clamps, and split-phase windows run unchanged
 // over either medium, a full ring is the EAGAIN analogue, and nothing on
-// the steady-state data path enters the kernel (wire_syscalls reads 0; idle
-// waits replace poll with bounded sleeps plus a liveness peek of the mesh's
-// control streams). Payloads >= Config::shm_inline_threshold additionally go
+// the steady-state data path enters the kernel (wire_syscalls reads 0; the
+// Waiter naps and peeks the mesh's control streams instead of polling).
+// Payloads >= Config::shm_inline_threshold additionally go
 // zero-copy: reserve() hands the sender a slot inside the pair's shared
 // slab, a 16-byte ShmZcDesc travels the ring in the payload's place (wire
 // header pad == 1), and apply_zc_views() re-points the receiver's inbox
@@ -66,12 +67,16 @@
 // mesh.
 #pragma once
 
+#include <poll.h>     // pollfd
 #include <sys/uio.h>  // iovec
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -107,9 +112,136 @@ struct StagePreamble {
 };
 static_assert(sizeof(StagePreamble) == 24, "wire preamble layout drifted");
 
+class ExchangeEngine;
+
+/// One rank's open boundary window, as finish_windows sees it.
+struct Window {
+  ExchangeEngine* eng;
+  WorkerState* st;
+};
+
+/// The one idle-wait step of the staged exchange. finish_windows pumps its
+/// open windows, calls progressed() when a round moved bytes and step() when
+/// a whole round moved none. The waiting policy, all of it:
+///
+///  * Abort. Every step checks the runtime's abort flag and unwinds with
+///    BspAborted, so a failure elsewhere frees a waiting worker within one
+///    wait.
+///  * Timeout. A step idle for longer than Config::socket_stage_timeout_ms
+///    since the last progress throws BspTransportError ("stage made no
+///    progress"), naming the first window still in flight.
+///  * Spin. For Config::socket_spin_us after the last progress (64x that
+///    when the in-flight stage runs over shm rings) a step only yields the
+///    core, and the windows are re-pumped at once: a peer in the same
+///    boundary is typically microseconds away, and on an oversubscribed host
+///    the yield hands the core to it. 0 disables the spin.
+///  * Poll (fd links). Past the spin budget a step polls the in-flight stage
+///    fds of every window — POLLOUT toward an unfinished send, POLLIN from an
+///    unfinished receive — for Config::socket_backoff_initial_ms, doubling
+///    on each idle step up to Config::socket_backoff_max_ms.
+///  * Probe and nap (ring links). A ring cannot be polled. Past the spin
+///    budget a step first peeks the control stream of each in-flight ring
+///    peer for EOF, the one failure the memory data path cannot see, then
+///    sleeps 50 us, doubling up to socket_backoff_max_ms. The nap is blind —
+///    its full length is paid even if the ring fills at once — hence
+///    microseconds (DESIGN section 15). EOF alone is not a death: a peer that
+///    wrote its whole last stage may finish and tear down between the empty
+///    pump and the probe, so the window is pumped once more and the death is
+///    reported only if that pump moved nothing.
+///  * Fault site. Before each poll or nap every window in flight consults
+///    the PollCall site: an injected EINTR/EAGAIN skips that wait (the
+///    backoff still doubles), a delay stalls it, an abort throws.
+///
+/// Progress restarts the idle clock and the backoff. Only idle steps enter
+/// the kernel, so a busy exchange makes no calls beyond its data path, and
+/// none at all on rings.
+class Waiter {
+ public:
+  Waiter(const Config& cfg, const std::atomic<bool>* abort_flag)
+      : cfg_(&cfg), abort_(abort_flag) {}
+
+  /// Room for the fds of `windows` windows, so no wait allocates.
+  void reserve(std::size_t windows) { fds_.reserve(2 * windows); }
+  /// A round of pumps moved bytes: restarts the idle clock and the backoff.
+  void progressed();
+  /// One idle wait over `ws`, of which at least one is still in flight.
+  void step(std::span<const Window> ws);
+
+ private:
+  const Config* cfg_;
+  const std::atomic<bool>* abort_;
+  std::chrono::steady_clock::time_point last_progress_;
+  std::size_t backoff_us_ = 0;  // the next poll or nap; 0 = the first one
+  std::vector<pollfd> fds_;
+};
+
 /// The staged-exchange protocol driver for ONE rank of the mesh.
 class ExchangeEngine {
  public:
+  /// `fault` is a handle to the owning transport's injector pointer (the
+  /// injector can be swapped between runs without re-plumbing the engine);
+  /// `abort_flag` is the runtime's shared abort flag, checked on idle waits.
+  ExchangeEngine(const Config& cfg, SlabPool& pool, Mesh& mesh,
+                 const std::atomic<bool>* abort_flag,
+                 FaultInjector* const* fault)
+      : cfg_(&cfg), mesh_(&mesh), fault_(fault), waiter_(cfg, abort_flag) {
+    pool_ = &pool;
+    inbox_arena_.bind(pool_);
+  }
+
+  /// Binds the engine to its rank and (re)sizes per-destination staging for
+  /// a p-rank run. Called after every mesh build.
+  void attach(int pid, int nprocs);
+
+  /// Clean-run reuse: releases every arena's slabs back to the pool (a
+  /// drained stream has nothing to leak).
+  void reset_for_reuse();
+
+  [[nodiscard]] MessageArena& inbox_arena() { return inbox_arena_; }
+  [[nodiscard]] bool has_unflushed() const;
+
+  /// Stages an n-byte frame for `dest` and returns its writable payload
+  /// slot. Rejects frames above Config::socket_max_frame_bytes at the send
+  /// call, where the application can see a clean error.
+  std::byte* reserve(WorkerState& st, int dest, std::size_t n);
+
+  /// Shm only: re-points every zero-copy inbox view of the boundary just
+  /// exchanged from its 16-byte on-ring descriptor to the payload's bytes in
+  /// the pair's shared slab, validating the descriptor's bounds, and adjusts
+  /// `recv_packets` from descriptor size to true payload size. The transport
+  /// calls this between append_views and finish_delivery; a no-op when the
+  /// boundary carried no zero-copy frames.
+  void apply_zc_views(WorkerState& dst, std::uint64_t& recv_packets);
+
+  // --- The boundary window (every boundary; a rigid sync() is a window
+  // with no compute in it). The in-flight StageState lives inside the
+  // engine (not on the caller's stack) because send_iov_ points at
+  // split_ss_.send_pre, which must stay at a stable address across
+  // pump_window calls.
+
+  /// Opens the boundary and starts streaming stage 1, with one
+  /// opportunistic non-blocking pass (with kernel buffers sized to the
+  /// stage, small exchanges are often fully on the wire before the caller's
+  /// overlapped compute even starts).
+  void begin_window(WorkerState& st);
+
+  /// Non-blocking pass over the window's schedule: pumps the in-flight
+  /// stage both ways and advances to the next stage whenever one drains,
+  /// until nothing moves or the schedule is done. Returns the bytes moved.
+  std::size_t pump_window(WorkerState& st);
+
+  [[nodiscard]] bool window_done() const { return split_done_; }
+
+  /// Blocking end of open windows: round-robins pump_window over `ws` (one
+  /// window in Parallel mode, every hosted rank's in Serialized mode) and
+  /// takes one Waiter step whenever a whole round moves nothing, until all
+  /// are done. The in-flight stages pick up exactly where their last pump
+  /// left them; the caller publishes afterwards.
+  static void finish_windows(std::span<const Window> ws);
+
+ private:
+  friend class Waiter;
+
   /// Progress state of one stage of the schedule: an iovec cursor over the
   /// outgoing sections and a sectioned parse of the incoming stage (preamble
   /// -> header block -> payloads straight into the inbox arena).
@@ -138,46 +270,10 @@ class ExchangeEngine {
     std::uint64_t recv_moved = 0;
   };
 
-  /// `fault` is a handle to the owning transport's injector pointer (the
-  /// injector can be swapped between runs without re-plumbing the engine);
-  /// `abort_flag` is the runtime's shared abort flag, polled on idle waits.
-  ExchangeEngine(const Config& cfg, SlabPool& pool, Mesh& mesh,
-                 const std::atomic<bool>* abort_flag,
-                 FaultInjector* const* fault)
-      : cfg_(&cfg), mesh_(&mesh), abort_(abort_flag), fault_(fault) {
-    pool_ = &pool;
-    inbox_arena_.bind(pool_);
-  }
-
-  /// Binds the engine to its rank and (re)sizes per-destination staging for
-  /// a p-rank run. Called after every mesh build.
-  void attach(int pid, int nprocs);
-
-  /// Clean-run reuse: releases every arena's slabs back to the pool (a
-  /// drained stream has nothing to leak).
-  void reset_for_reuse();
-
-  [[nodiscard]] int pid() const { return pid_; }
-  [[nodiscard]] MessageArena& inbox_arena() { return inbox_arena_; }
-  [[nodiscard]] bool has_unflushed() const;
-
-  /// Stages an n-byte frame for `dest` and returns its writable payload
-  /// slot. Rejects frames above Config::socket_max_frame_bytes at the send
-  /// call, where the application can see a clean error.
-  std::byte* reserve(WorkerState& st, int dest, std::size_t n);
-
   /// Self-delivery + inbox reset at the top of a boundary (stage 0 of the
   /// schedule: whole slabs splice over, no wire). On a shm mesh this also
   /// advances the zero-copy epoch and publishes it to every peer.
   void open_boundary(WorkerState& dst);
-
-  /// Shm only: re-points every zero-copy inbox view of the boundary just
-  /// exchanged from its 16-byte on-ring descriptor to the payload's bytes in
-  /// the pair's shared slab, validating the descriptor's bounds, and adjusts
-  /// `recv_packets` from descriptor size to true payload size. The transport
-  /// calls this between append_views and finish_delivery; a no-op when the
-  /// boundary carried no zero-copy frames.
-  void apply_zc_views(WorkerState& dst, std::uint64_t& recv_packets);
 
   /// Builds the v2 stage sections for outbox[(pid + k) % p]: packs the
   /// header block, points send_iov_ at preamble/headers/arena payload spans,
@@ -194,38 +290,8 @@ class ExchangeEngine {
   std::size_t pump_send(WorkerState& st, StageState& ss);
   std::size_t pump_recv(WorkerState& st, StageState& ss);
 
-  /// Blocking driver of one stage: pumps both directions with the adaptive
-  /// spin-then-poll waiting policy (spin-then-nap on ring links) until the
-  /// stage drains.
-  void run_stage(WorkerState& st, StageState& ss);
-
-  // --- The boundary window (every boundary; a rigid sync() is a window
-  // with no compute in it). The in-flight StageState lives inside the
-  // engine (not on the caller's stack) because send_iov_ points at
-  // split_ss_.send_pre, which must stay at a stable address across
-  // pump_window calls.
-
-  /// Opens the boundary and starts streaming stage 1, with one
-  /// opportunistic non-blocking pass (with kernel buffers sized to the
-  /// stage, small exchanges are often fully on the wire before the caller's
-  /// overlapped compute even starts).
-  void begin_window(WorkerState& st);
-
-  /// Non-blocking pass over the window's schedule: pumps the in-flight
-  /// stage both ways and advances to the next stage whenever one drains,
-  /// until nothing moves or the schedule is done. Returns window_done().
-  bool pump_window(WorkerState& st);
-
-  /// Blocking resume: drives the remaining stages with run_stage. The
-  /// in-flight stage picks up exactly where the window's last pump left it;
-  /// the caller publishes afterwards.
-  void finish_window(WorkerState& st);
-
-  [[nodiscard]] bool window_done() const { return split_done_; }
-
   /// Stage-k peers of this rank (the rigid schedule: send to (pid+k) mod p,
-  /// receive from (pid-k) mod p). Exposed for the serialized driver's poll
-  /// set.
+  /// receive from (pid-k) mod p).
   [[nodiscard]] int send_peer(const StageState& ss) const {
     return (pid_ + ss.k) % nprocs_;
   }
@@ -233,7 +299,6 @@ class ExchangeEngine {
     return (pid_ + nprocs_ - ss.k) % nprocs_;
   }
 
- private:
   /// One pair's data path, chosen at attach(): the mesh's shared-memory
   /// rings when it has them, else the stream fd. On a ring link `fd` is the
   /// bootstrap control stream, whose only post-bootstrap traffic is EOF.
@@ -265,10 +330,27 @@ class ExchangeEngine {
   /// validation path reads them.
   void maybe_corrupt(WorkerState& st, const StageState& ss, int src,
                      std::byte* buf, std::size_t n);
-  /// Ring idle path: one non-consuming, non-blocking peek of the control
-  /// stream with `peer`. True on EOF: the peer exited (or was
-  /// kill_endpoints'd). Throws on stray bytes or a failed peek.
-  bool peer_closed(WorkerState& st, const StageState& ss, int peer);
+
+  // --- The window in flight, as the Waiter sees it.
+  /// True when the in-flight stage runs over ring links.
+  [[nodiscard]] bool on_rings() const {
+    return links_[static_cast<std::size_t>(recv_peer(split_ss_))].ring !=
+           nullptr;
+  }
+  /// Ring links only: one non-consuming, non-blocking peek of the control
+  /// stream of each peer of the in-flight stage. Returns the first peer at
+  /// EOF (it exited, or was kill_endpoints'd), else -1. Throws on stray
+  /// bytes or a failed peek.
+  int closed_peer(WorkerState& st);
+  /// Appends the in-flight stage's fds to `fds` (POLLOUT toward an
+  /// unfinished send, POLLIN from an unfinished receive).
+  void add_poll_fds(std::vector<pollfd>& fds) const;
+  /// Throws the BspTransportError of a failed idle wait on the in-flight
+  /// stage.
+  [[noreturn]] void idle_failure(const WorkerState& st,
+                                 const std::string& what, int peer,
+                                 int err) const;
+
   /// Attempts a zero-copy slab reservation of `n` bytes toward `dest`, a
   /// ring link; returns nullptr (inline fallback) when the epoch half is not
   /// yet recycled or is full, or `n` exceeds half the slab.
@@ -279,9 +361,11 @@ class ExchangeEngine {
 
   const Config* cfg_;
   Mesh* mesh_;
-  const std::atomic<bool>* abort_;
   FaultInjector* const* fault_;
   SlabPool* pool_ = nullptr;
+  // Idle clock and poll set of a finish_windows call whose first window is
+  // this engine's.
+  Waiter waiter_;
 
   int pid_ = 0;
   int nprocs_ = 0;

@@ -255,7 +255,7 @@ void Runtime::finalize_worker(detail::WorkerState& st) {
   seal_step(st);
 }
 
-void Runtime::report_error(std::exception_ptr e, int pid) {
+void Runtime::record_error(std::exception_ptr e, int pid) {
   // Class 0: program (user) errors — the root cause when a functor throws.
   // Class 1: transport errors — often *secondary* (a peer unwinding because
   // worker 0 threw looks, to worker 1, like a dead peer). A user error must
@@ -278,6 +278,10 @@ void Runtime::report_error(std::exception_ptr e, int pid) {
     }
   }
   abort_.store(true, std::memory_order_release);
+}
+
+void Runtime::report_error(std::exception_ptr e, int pid) {
+  record_error(std::move(e), pid);
   if (scheduler_) scheduler_->abort();
 }
 
@@ -380,8 +384,20 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   barrier_b_ = make_barrier(cfg_.barrier, nl, &abort_);
   scheduler_.reset();
   if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_ = std::make_unique<SerialScheduler>(
-        p, [this] { transport_->exchange(states_); });
+    scheduler_ = std::make_unique<SerialScheduler>(p, [this, p] {
+      try {
+        transport_->exchange(states_);
+      } catch (const BspAborted&) {
+        throw;  // unwinding for an error already recorded
+      } catch (...) {
+        // The exchange runs under the scheduler's lock, possibly inside its
+        // noexcept finish(): record the error without calling back into the
+        // scheduler, which aborts the round when this rethrows. Like the
+        // watchdog's, the error belongs to no worker.
+        record_error(std::current_exception(), p);
+        throw;
+      }
+    });
   }
 
   progress_.fetch_add(1, std::memory_order_relaxed);  // attempt start

@@ -280,6 +280,10 @@ class Runtime {
   void seal_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);
+  /// Keeps `e` as the run's error if it outranks the one held (see the .cpp)
+  /// and raises the abort flag.
+  void record_error(std::exception_ptr e, int pid);
+  /// record_error, then wakes the Serialized scheduler's waiters too.
   void report_error(std::exception_ptr e, int pid);
   /// One execution of `fn` on all workers (one retry attempt). Returns true
   /// on success; on failure the winning error is left in first_error_.

@@ -32,6 +32,7 @@ void SerialScheduler::advance_locked(int from_pid) {
     try {
       exchange_();
     } catch (...) {
+      // The callback recorded its error; every worker unwinds.
       aborted_ = true;
       cv_.notify_all();
       return;

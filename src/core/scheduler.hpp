@@ -21,7 +21,8 @@ class SerialScheduler {
  public:
   /// `exchange` is invoked (by whichever thread completes a round, with the
   /// scheduler lock held, hence effectively single-threaded) to deliver all
-  /// messages sent during the round.
+  /// messages sent during the round. If it throws, the scheduler aborts and
+  /// drops the exception: `exchange` must record its own error first.
   SerialScheduler(int nprocs, std::function<void()> exchange);
 
   /// Blocks until this worker's first turn. Throws BspAborted on abort.

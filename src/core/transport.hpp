@@ -160,7 +160,10 @@ class Transport {
 
   /// Serialized-mode global exchange: delivers for every worker in one call
   /// (single-threaded; see the class comment). Finished workers still
-  /// participate as empty senders where the wire protocol requires it.
+  /// participate as empty senders where the wire protocol requires it. The
+  /// staged transports drive every window with the Parallel boundary's pump
+  /// and idle-wait step (detail::Waiter in core/exchange_engine.hpp, which
+  /// documents the waiting policy). A throw aborts the run with that error.
   virtual void exchange(
       const std::vector<std::unique_ptr<detail::WorkerState>>& states) = 0;
 

@@ -1,14 +1,6 @@
 #include "core/transport_staged.hpp"
 
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <string>
-#include <thread>
-
-#include "core/barrier.hpp"  // BspAborted
 
 namespace gbsp {
 
@@ -78,18 +70,19 @@ void StagedTransport::begin_exchange(detail::WorkerState& st) {
 
 bool StagedTransport::progress(detail::WorkerState& st) {
   detail::ExchangeEngine& e = engine_of(st.pid);
-  if (e.window_done()) return true;
   try {
-    return e.pump_window(st);
+    e.pump_window(st);
   } catch (...) {
     mesh_->mark_dirty();
     throw;
   }
+  return e.window_done();
 }
 
 void StagedTransport::finish_exchange(detail::WorkerState& st) {
+  const detail::Window w{&engine_of(st.pid), &st};
   try {
-    engine_of(st.pid).finish_window(st);
+    detail::ExchangeEngine::finish_windows({&w, 1});
   } catch (...) {
     mesh_->mark_dirty();
     throw;
@@ -99,7 +92,6 @@ void StagedTransport::finish_exchange(detail::WorkerState& st) {
 
 void StagedTransport::exchange(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
-  using Clock = std::chrono::steady_clock;
   if (!hosts_every_rank_) {
     // validate_config rejects Serialized scheduling in process mode before a
     // Runtime exists; this is the defensive backstop, not a reachable path.
@@ -107,106 +99,25 @@ void StagedTransport::exchange(
                             " transport has no serialized global exchange "
                             "(one process hosts one rank)");
   }
-  const int p = static_cast<int>(states.size());
-  // Single-threaded driver: one thread advances every worker's staged
-  // exchange, so the same wire protocol runs under the Serialized scheduler.
-  // Finished workers still participate — their peers' schedule expects a
-  // (possibly empty) stage from them on the shared stream.
-  struct Task {
-    detail::WorkerState* st = nullptr;
-    detail::ExchangeEngine::StageState ss;
-    bool done = false;
-  };
-  std::vector<Task> tasks(static_cast<std::size_t>(p));
-  int done_count = 0;
-  // Moves a task on to its next stage, or retires it after stage p-1 (at
-  // once for a lone rank, whose boundary is self-delivery only).
-  const auto advance = [&](Task& t, detail::ExchangeEngine& e) {
-    if (t.ss.k + 1 < p) {
-      e.begin_stage(t.ss, t.ss.k + 1);
-    } else {
-      t.done = true;
-      ++done_count;
-    }
-  };
+  // One thread drives every rank's window with the Parallel boundary's pump
+  // and wait step, so the same wire protocol runs under the Serialized
+  // scheduler. Finished workers still take part: their peers' schedule
+  // expects a (possibly empty) stage from them on the shared stream.
+  std::vector<detail::Window> windows;
+  windows.reserve(states.size());
   try {
-    for (int i = 0; i < p; ++i) {
-      Task& t = tasks[static_cast<std::size_t>(i)];
-      t.st = states[static_cast<std::size_t>(i)].get();
-      inject_boundary_fault(FaultSite::Deliver, *t.st);
-      engine_of(i).open_boundary(*t.st);
-      advance(t, engine_of(i));
+    for (const auto& st : states) {
+      inject_boundary_fault(FaultSite::Deliver, *st);
+      detail::ExchangeEngine& e = engine_of(st->pid);
+      e.begin_window(*st);
+      windows.push_back({&e, st.get()});
     }
-    auto last_progress = Clock::now();
-    std::size_t backoff_ms = cfg_.socket_backoff_initial_ms;
-    while (done_count < p) {
-      bool progressed = false;
-      for (int i = 0; i < p; ++i) {
-        Task& t = tasks[static_cast<std::size_t>(i)];
-        if (t.done) continue;
-        detail::ExchangeEngine& e = engine_of(i);
-        std::size_t moved = 0;
-        if (!t.ss.send_done) moved += e.pump_send(*t.st, t.ss);
-        if (!t.ss.recv_done) moved += e.pump_recv(*t.st, t.ss);
-        if (t.ss.send_done && t.ss.recv_done) {
-          advance(t, e);
-          progressed = true;
-        }
-        progressed = progressed || moved != 0;
-      }
-      if (progressed) {
-        last_progress = Clock::now();
-        backoff_ms = cfg_.socket_backoff_initial_ms;
-        continue;
-      }
-      if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
-        throw BspAborted{};
-      }
-      const auto idle = Clock::now() - last_progress;
-      if (idle > std::chrono::milliseconds(cfg_.socket_stage_timeout_ms)) {
-        throw BspTransportError(
-            "serialized staged exchange made no progress for " +
-                std::to_string(cfg_.socket_stage_timeout_ms) + " ms",
-            /*rank=*/-1, /*peer=*/-1,
-            static_cast<std::int64_t>(states[0]->superstep), /*stage=*/-1,
-            /*err=*/0, /*bytes_moved=*/0);
-      }
-      // Same adaptive spin as the threaded driver; on a single thread the
-      // yield is a no-op and the spin just retries the pump round.
-      if (idle < std::chrono::microseconds(cfg_.socket_spin_us)) {
-        std::this_thread::yield();
-        continue;
-      }
-      // All tasks hit EAGAIN in both directions (kernel buffers momentarily
-      // full on one side, empty on the other): wait for any endpoint.
-      std::vector<struct pollfd> fds;
-      fds.reserve(static_cast<std::size_t>(2 * p));
-      for (int i = 0; i < p; ++i) {
-        const Task& t = tasks[static_cast<std::size_t>(i)];
-        if (t.done) continue;
-        detail::ExchangeEngine& e = engine_of(i);
-        if (!t.ss.send_done) {
-          fds.push_back({mesh_->fd(i, e.send_peer(t.ss)), POLLOUT, 0});
-        }
-        if (!t.ss.recv_done) {
-          fds.push_back({mesh_->fd(i, e.recv_peer(t.ss)), POLLIN, 0});
-        }
-      }
-      if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                 static_cast<int>(backoff_ms)) < 0 &&
-          errno != EINTR) {
-        throw BspTransportError(
-            "poll in serialized staged exchange failed", /*rank=*/-1,
-            /*peer=*/-1, static_cast<std::int64_t>(states[0]->superstep),
-            /*stage=*/-1, errno, /*bytes_moved=*/0);
-      }
-      backoff_ms = std::min(backoff_ms * 2, cfg_.socket_backoff_max_ms);
-    }
+    detail::ExchangeEngine::finish_windows(windows);
   } catch (...) {
     mesh_->mark_dirty();
     throw;
   }
-  for (Task& t : tasks) publish(*t.st);
+  for (const auto& st : states) publish(*st);
 }
 
 bool StagedTransport::has_unflushed(const detail::WorkerState& st) const {

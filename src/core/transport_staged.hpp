@@ -12,16 +12,18 @@
 //   * One ExchangeEngine (core/exchange_engine.hpp) per rank this process
 //     hosts — all p in-process, one in process mode: the v2 sectioned wire
 //     format, the rigid (p-1)-stage schedule, sendmsg/readv or ring pumps,
-//     spin-then-wait idling, split-phase windows, and the fault-injection
-//     sites.
+//     split-phase windows, the fault-injection sites, and the one idle-wait
+//     step (detail::Waiter, which documents the waiting policy).
 //
 // This class is the Transport seam glue: it routes sends and boundaries
 // through the right rank's engine, publishes inbox views after each
 // boundary (re-pointing zero-copy frames at the shared slab on ring links),
 // marks the mesh dirty when a worker unwinds mid-stage, and — when the mesh
-// hosts every rank — drives the Serialized-mode round-robin exchange over
-// every engine at once. Wire behaviour is documented with the layer that
-// owns it.
+// hosts every rank — runs the Serialized-mode exchange: it opens every
+// engine's window and hands them all to the blocking loop a Parallel
+// boundary runs (ExchangeEngine::finish_windows), which round-robins the
+// pumps and waits on the union of their in-flight fds. Wire behaviour is
+// documented with the layer that owns it.
 //
 // Process mode (tcp, shm) differs only in topology: the Runtime hands this
 // transport exactly one WorkerState (pid == Config::rank), cross-rank
@@ -77,9 +79,10 @@ class StagedTransport final : public detail::TransportBase {
   // Every boundary is a window: begin_exchange opens it and starts
   // streaming stage 1 out of the staging arenas; progress() pumps both
   // directions non-blocking, advancing through the (p-1)-stage schedule as
-  // each stage drains; finish_exchange resumes the in-flight stage with the
-  // blocking stage loop, runs the remaining stages, and publishes the inbox
-  // views. A rigid sync() is the same pair with an empty window. The
+  // each stage drains; finish_exchange resumes the in-flight stage, pumps
+  // the remaining stages with the Waiter's idle steps in between, and
+  // publishes the inbox views. A rigid sync() is the same pair with an
+  // empty window. The
   // window's wall-clock counts against Config::socket_stage_timeout_ms
   // exactly like slow peer compute — the timeout must exceed the longest
   // overlap window.

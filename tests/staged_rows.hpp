@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <exception>
 #include <functional>
 #include <future>
@@ -95,6 +96,56 @@ inline void clean_runs_reuse_the_mesh(const RankConfig& cfg_of) {
     EXPECT_EQ(staged(rt).debug_mesh_builds(), 1u)
         << "clean runs must reuse the bootstrapped mesh";
   });
+}
+
+/// A plan with one rule: an injected EINTR at rank 0's PollCall site.
+inline FaultPlan poll_eintr_on_rank0() {
+  FaultRule r;
+  r.site = FaultSite::PollCall;
+  r.kind = FaultKind::Eintr;
+  r.rank = 0;
+  FaultPlan plan;
+  plan.rules = {r};
+  return plan;
+}
+
+/// The PollCall site sits in the one idle-wait step both scheduling modes
+/// share. p = 2; rank 0 has no spin budget (socket_spin_us = 0), and rank 1
+/// holds back its sync until rank 0's injector has fired, so rank 0 must
+/// idle until its wait reaches the site (rank 1 gives up after 10 s, and the
+/// row fails). The injected EINTR must be absorbed there: no retry, and the
+/// same message and wire traffic as a fault-free run on the same Runtime.
+inline void poll_site_fires_while_waiting(const RankConfig& cfg_of) {
+  // Installed on rank 0's transport and owned here, so it outlives both
+  // ranks' Runtimes and rank 1 may watch it.
+  FaultInjector rank0_faults(poll_eintr_on_rank0());
+  const auto held_ping = [&rank0_faults](Worker& w) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (w.pid() == 1 && rank0_faults.fired() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ping(7)(w);
+  };
+  on_runtimes(
+      2,
+      [&cfg_of](int r) {
+        Config cfg = cfg_of(r);
+        cfg.socket_spin_us = 0;
+        return cfg;
+      },
+      [&](Runtime& rt) {
+        const RunStats clean = rt.run(ping(7));
+        if (rt.config().rank == 0) {
+          rt.transport().set_fault_injector(&rank0_faults);
+        }
+        const RunStats faulted = rt.run(held_ping);
+        EXPECT_EQ(faulted.recoveries, 0u);
+        EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
+      });
+  EXPECT_EQ(rank0_faults.fired(), 1u)
+      << "rank 0's idle wait never reached the poll site";
 }
 
 /// Process mode, p = 2. Phase 1: both ranks run clean. Phase 2: rank 1's

@@ -255,6 +255,74 @@ INSTANTIATE_TEST_SUITE_P(
     matrix_name);
 
 // ---------------------------------------------------------------------------
+// Serialized mode: one thread runs every rank's boundary inside the
+// scheduler. An error raised by that exchange (here a deliver-site abort on
+// rank 1) is the run's error like any other — run() rethrows it, or retries
+// it under max_run_retries — never a run that returns truncated.
+
+class SerializedExchangeFault
+    : public ::testing::TestWithParam<DeliveryStrategy> {
+ protected:
+  static Config config() {
+    Config cfg = base_config(GetParam());
+    cfg.nprocs = 3;
+    cfg.scheduling = Scheduling::Serialized;
+    return cfg;
+  }
+  static FaultPlan deliver_abort() {
+    FaultRule r;
+    r.site = FaultSite::Deliver;
+    r.kind = FaultKind::Abort;
+    r.rank = 1;
+    r.superstep = 1;
+    FaultPlan plan;
+    plan.rules = {r};
+    return plan;
+  }
+};
+
+TEST_P(SerializedExchangeFault, RunThrowsWithoutRetries) {
+  Runtime rt(config());
+  rt.set_fault_plan(deliver_abort());
+  try {
+    run_ring(rt, nullptr);
+    FAIL() << "the failed exchange was swallowed";
+  } catch (const BspTransportError& e) {
+    EXPECT_EQ(e.rank, 1);
+    EXPECT_NE(std::string(e.what()).find("injected abort at deliver"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rt.fault_injector()->fired(), 1u);
+}
+
+TEST_P(SerializedExchangeFault, RetryMatchesTheFaultFreeRun) {
+  Runtime clean(config());
+  const std::vector<std::uint64_t> expected = run_ring(clean, nullptr);
+  Config cfg = config();
+  cfg.max_run_retries = 1;
+  cfg.retry_backoff_us = 100;
+  Runtime rt(cfg);
+  rt.set_fault_plan(deliver_abort());
+  RunStats stats;
+  EXPECT_EQ(run_ring(rt, &stats), expected);
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.S(), kSteps + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, SerializedExchangeFault,
+                         ::testing::Values(DeliveryStrategy::Deferred,
+                                           DeliveryStrategy::Eager,
+                                           DeliveryStrategy::Socket),
+                         [](const auto& info) {
+                           return info.param == DeliveryStrategy::Deferred
+                                      ? "Deferred"
+                                  : info.param == DeliveryStrategy::Eager
+                                      ? "Eager"
+                                      : "Socket";
+                         });
+
+// ---------------------------------------------------------------------------
 // Exception safety: a user functor throw must propagate as the program
 // error (never masked by the secondary transport errors it causes in
 // peers), must not leak staged arenas, and must leave the Runtime reusable.

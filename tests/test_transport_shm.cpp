@@ -535,6 +535,14 @@ TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
       [&name](int r) { return rank_cfg(r, 2, name); });
 }
 
+TEST(ShmRuntime, PollSiteFiresWhileWaiting) {
+  // The shm row of the shared poll-site property: on rings the site guards
+  // the nap.
+  const std::string name = seg_name(23);
+  staged_rows::poll_site_fires_while_waiting(
+      [&name](int r) { return rank_cfg(r, 2, name); });
+}
+
 TEST(ShmRuntime, PeerTeardownAfterItsLastStageIsNotADeath) {
   // End-of-run teardown race: rank 1 writes its whole last stage into the
   // ring, finishes its run and destroys its Runtime while rank 0 still

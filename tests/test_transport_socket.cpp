@@ -224,6 +224,38 @@ TEST(SocketFaultInjection, StageTimeoutFiresOnWedgedPeer) {
   EXPECT_LT(elapsed.count(), 5000);
 }
 
+TEST(SocketFaultInjection, PollSiteFiresInParallelMode) {
+  // The socketpair row of the shared poll-site property (staged_rows.hpp).
+  staged_rows::poll_site_fires_while_waiting(
+      [](int) { return socket_config(2); });
+}
+
+TEST(SocketFaultInjection, PollSiteFiresInSerializedMode) {
+  // A Serialized exchange runs on one thread, so no peer can be late:
+  // injected recv EAGAINs hold rank 0's window open instead, until a whole
+  // round of pumps moves nothing and the wait step both scheduling modes
+  // share consults the poll site. Two EAGAINs go to begin_window's
+  // opportunistic pass, the third empties the first round. The injected
+  // EINTR must fire and be absorbed.
+  Config cfg = socket_config(2, Scheduling::Serialized);
+  cfg.socket_spin_us = 0;
+  Runtime rt(cfg);
+  const RunStats clean = rt.run(staged_rows::ping(7));
+  FaultPlan plan = staged_rows::poll_eintr_on_rank0();
+  FaultRule eagain;
+  eagain.site = FaultSite::RecvCall;
+  eagain.kind = FaultKind::Eagain;
+  eagain.rank = 0;
+  eagain.count = 4;
+  plan.rules.push_back(eagain);
+  rt.set_fault_plan(plan);
+  const RunStats faulted = rt.run(staged_rows::ping(7));
+  EXPECT_EQ(rt.fault_injector()->fired(), eagain.count + 1)
+      << "the Serialized wait never reached the poll site";
+  EXPECT_EQ(faulted.recoveries, 0u);
+  EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
+}
+
 TEST(SocketFaultInjection, RuntimeIsReusableAfterAFailedRun) {
   // reset_run() rebuilds sockets from scratch, so a run that died mid-stage
   // (half-written frames in kernel buffers) must not poison the next run.

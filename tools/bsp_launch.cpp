@@ -51,7 +51,7 @@ void usage(const char* argv0) {
       "Runs <program> as nprocs cooperating BSP ranks: rank r is exec'd with\n"
       "GBSP_RANK=r, GBSP_NPROCS, GBSP_TRANSPORT (default tcp) and\n"
       "GBSP_CONNECT_TIMEOUT_MS (default 10000) in its environment, plus\n"
-      "GBSP_HOST (default 127.0.0.1) and GBSP_PORT (default 47100; rank r\n"
+      "GBSP_HOST (default 127.0.0.1) and GBSP_PORT (default 17100; rank r\n"
       "listens on port+r) over tcp, or GBSP_SHM_NAME (default\n"
       "launch.<launcher pid>) over shm. --timeout SIGKILLs the whole rank\n"
       "tree if the run outlives the deadline (launcher exits 124).\n",
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   std::string transport = "tcp";
   std::string host = "127.0.0.1";
   std::string shm_name;
-  long port = 47100;
+  long port = 17100;
   long timeout_ms = 10'000;
   long watchdog_s = 0;  // 0 = no watchdog
   int i = 1;
