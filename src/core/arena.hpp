@@ -77,7 +77,8 @@ class SlabPool {
 /// Append-only frame store for one direction of BSP traffic. Not thread-safe;
 /// concurrent access is serialized by the runtime (per-destination staging
 /// arenas are sender-private, inbuf splicing happens under the receiver's
-/// chunk lock, and swaps happen between superstep barriers).
+/// chunk lock, and swaps happen after the superstep barrier, on the parity
+/// no sender is writing).
 class MessageArena {
  public:
   /// Payloads up to this size are stored inline in the frame record.

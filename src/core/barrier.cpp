@@ -1,5 +1,7 @@
 #include "core/barrier.hpp"
 
+#include <sched.h>
+
 #include <chrono>
 #include <thread>
 
@@ -7,102 +9,87 @@ namespace gbsp {
 
 namespace {
 
-inline void spin_pause() { std::this_thread::yield(); }
+using Clock = std::chrono::steady_clock;
 
-inline void throw_if_aborted(const std::atomic<bool>* abort) {
-  if (abort != nullptr && abort->load(std::memory_order_acquire)) {
-    throw BspAborted{};
-  }
+// A peer on its own CPU usually arrives within a few microseconds. Keep the
+// pause phase that short: fresh workers often share a CPU until the
+// scheduler spreads them, and a long pause-spin then burns the core the
+// last arriver needs, parks anyway, and pays the futex wake on top.
+constexpr auto kPauseSpin = std::chrono::microseconds(2);
+// Yield phase before parking: on a CPU per worker a yield returns at once,
+// so it is a spin that stays responsive for up to this long; on fewer CPUs
+// each yield hands the CPU to a runnable peer, and a few rounds suffice.
+constexpr auto kYieldFor = std::chrono::milliseconds(1);
+constexpr int kYieldsWhenShared = 64;
+
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+bool has_cpu_per_worker(int nprocs) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cpus = sched_getaffinity(0, sizeof(set), &set) == 0
+                       ? CPU_COUNT(&set)
+                       : static_cast<int>(std::thread::hardware_concurrency());
+  return cpus >= nprocs;
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------- CentralSpin
+Barrier::Barrier(int nprocs, const std::atomic<bool>* abort_flag)
+    : nprocs_(nprocs),
+      abort_(abort_flag),
+      cpu_per_worker_(has_cpu_per_worker(nprocs)) {}
 
-CentralSpinBarrier::CentralSpinBarrier(int nprocs,
-                                       const std::atomic<bool>* abort_flag)
-    : nprocs_(nprocs), abort_(abort_flag) {}
-
-void CentralSpinBarrier::arrive_and_wait(int /*pid*/) {
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-  if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == nprocs_) {
-    count_.store(0, std::memory_order_relaxed);
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-  } else {
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      throw_if_aborted(abort_);
-      spin_pause();
-    }
-  }
+void Barrier::advance() {
+  // A sequentially consistent increment: notify_all skips the futex wake
+  // when its waiter count reads zero, and that read must not be ordered
+  // before the new generation is visible to a waiter about to park.
+  generation_.fetch_add(1, std::memory_order_seq_cst);
+  generation_.notify_all();
 }
 
-// ------------------------------------------------------------ CentralBlocking
-
-CentralBlockingBarrier::CentralBlockingBarrier(
-    int nprocs, const std::atomic<bool>* abort_flag)
-    : nprocs_(nprocs), abort_(abort_flag) {}
-
-void CentralBlockingBarrier::arrive_and_wait(int /*pid*/) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t gen = generation_;
-  if (++count_ == nprocs_) {
-    count_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return;
-  }
-  // Wake periodically to observe the abort flag: the peer we wait for may
-  // have died and will never arrive.
-  while (generation_ == gen) {
+void Barrier::arrive_and_wait(int /*pid*/) {
+  const std::uint32_t gen = generation_.load(std::memory_order_acquire);
+  // An abort raised before this load may already have moved the generation,
+  // and no later move would come.
+  const auto throw_if_aborted = [this] {
     if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
       throw BspAborted{};
     }
-    cv_.wait_for(lock, std::chrono::milliseconds(20));
+  };
+  throw_if_aborted();
+  if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == nprocs_) {
+    count_.store(0, std::memory_order_relaxed);
+    advance();
+    return;
   }
-}
-
-// -------------------------------------------------------------- Dissemination
-
-DisseminationBarrier::DisseminationBarrier(int nprocs,
-                                           const std::atomic<bool>* abort_flag)
-    : nprocs_(nprocs), abort_(abort_flag) {
-  rounds_ = 0;
-  for (int reach = 1; reach < nprocs_; reach *= 2) ++rounds_;
-  if (rounds_ == 0) rounds_ = 1;  // p == 1: trivial round
-  slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(rounds_) *
-                                    static_cast<std::size_t>(nprocs_));
-  expected_.assign(static_cast<std::size_t>(nprocs_) * rounds_, 0);
-}
-
-void DisseminationBarrier::arrive_and_wait(int pid) {
-  if (nprocs_ == 1) return;
-  for (int r = 0, reach = 1; r < rounds_; ++r, reach *= 2) {
-    const int partner = (pid + reach) % nprocs_;
-    slots_[static_cast<std::size_t>(r) * nprocs_ + partner].signals.fetch_add(
-        1, std::memory_order_acq_rel);
-    std::uint64_t& want = expected_[static_cast<std::size_t>(pid) * rounds_ + r];
-    ++want;
-    const auto& mine = slots_[static_cast<std::size_t>(r) * nprocs_ + pid];
-    while (mine.signals.load(std::memory_order_acquire) < want) {
-      throw_if_aborted(abort_);
-      spin_pause();
+  const auto waiting = [this, gen] {
+    return generation_.load(std::memory_order_acquire) == gen;
+  };
+  const Clock::time_point start = Clock::now();
+  while (waiting() && Clock::now() - start < kPauseSpin) cpu_pause();
+  for (int yields = 0; waiting(); ++yields) {
+    if (cpu_per_worker_ ? Clock::now() - start >= kYieldFor
+                        : yields >= kYieldsWhenShared) {
+      generation_.wait(gen, std::memory_order_acquire);
+      break;
     }
+    std::this_thread::yield();
   }
+  throw_if_aborted();
 }
 
-// -------------------------------------------------------------------- factory
+void Barrier::wake_on_abort() { advance(); }
 
-std::unique_ptr<Barrier> make_barrier(BarrierKind kind, int nprocs,
+std::unique_ptr<Barrier> make_barrier(BarrierKind /*kind*/, int nprocs,
                                       const std::atomic<bool>* abort_flag) {
-  switch (kind) {
-    case BarrierKind::CentralSpin:
-      return std::make_unique<CentralSpinBarrier>(nprocs, abort_flag);
-    case BarrierKind::CentralBlocking:
-      return std::make_unique<CentralBlockingBarrier>(nprocs, abort_flag);
-    case BarrierKind::Dissemination:
-      return std::make_unique<DisseminationBarrier>(nprocs, abort_flag);
-  }
-  throw std::invalid_argument("unknown BarrierKind");
+  return std::make_unique<Barrier>(nprocs, abort_flag);
 }
 
 }  // namespace gbsp

@@ -1,20 +1,23 @@
-// Barrier implementations for superstep boundaries.
+// The superstep barrier of the in-memory transports.
 //
-// All barriers here are abort-aware: a worker that fails sets a shared abort
-// flag and the remaining workers, instead of waiting forever for a peer that
-// will never arrive, throw BspAborted out of the barrier. This is what makes
-// failure injection testable (DESIGN.md section 9).
+// One central barrier on a generation word, crossed once per superstep (the
+// paper's Appendix B.1 spin-flag synchronisation). A waiter pause-spins for a
+// few microseconds, then yields, then parks on the word with
+// std::atomic::wait (a futex in libstdc++). How long it yields before it
+// parks is derived from the host: the CPUs the creating thread may run on
+// (sched_getaffinity), against the number of participants.
+//
+// The barrier is abort-aware: a worker that fails raises the shared abort
+// flag and then calls wake_on_abort(), and every other worker, instead of
+// waiting for a peer that will never arrive, throws BspAborted out of the
+// barrier. This is what makes failure injection testable (DESIGN.md
+// section 9).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <vector>
-
-#include "core/config.hpp"
 
 namespace gbsp {
 
@@ -24,67 +27,39 @@ struct BspAborted : std::runtime_error {
   BspAborted() : std::runtime_error("BSP computation aborted by a peer") {}
 };
 
-/// Abstract superstep barrier for a fixed set of participants.
+/// Barrier for a fixed set of `nprocs` participants, reusable across
+/// supersteps until an abort, which leaves it spent.
 class Barrier {
  public:
-  virtual ~Barrier() = default;
+  /// `abort_flag` may be null (no abort); otherwise whoever raises it must
+  /// then call wake_on_abort().
+  Barrier(int nprocs, const std::atomic<bool>* abort_flag);
 
-  /// Blocks until all participants arrive. `pid` identifies the caller
-  /// (needed by the dissemination barrier; central barriers ignore it).
-  /// Throws BspAborted if the shared abort flag is raised while waiting.
-  virtual void arrive_and_wait(int pid) = 0;
-};
+  /// Blocks until all participants arrive. `pid` is unused. Throws
+  /// BspAborted if the abort flag is raised before or while waiting.
+  void arrive_and_wait(int pid);
 
-/// Central sense-reversing (generation-counter) spin barrier with yielding.
-class CentralSpinBarrier final : public Barrier {
- public:
-  CentralSpinBarrier(int nprocs, const std::atomic<bool>* abort_flag);
-  void arrive_and_wait(int pid) override;
+  /// Moves the generation word so every waiter — spinning, yielding or
+  /// parked — returns and sees the abort flag, which must already be raised.
+  void wake_on_abort();
 
  private:
+  void advance();
+
   const int nprocs_;
   const std::atomic<bool>* const abort_;
+  // True when the creating thread's affinity mask holds a CPU for every
+  // participant: a waiter then yields for up to a millisecond before it
+  // parks, otherwise for a few yields only.
+  const bool cpu_per_worker_;
   alignas(64) std::atomic<int> count_{0};
-  alignas(64) std::atomic<std::uint64_t> generation_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
 };
 
-/// Mutex + condition-variable central barrier. Preferred on hosts with fewer
-/// cores than workers, where spinning starves the workers being waited for.
-class CentralBlockingBarrier final : public Barrier {
- public:
-  CentralBlockingBarrier(int nprocs, const std::atomic<bool>* abort_flag);
-  void arrive_and_wait(int pid) override;
-
- private:
-  const int nprocs_;
-  const std::atomic<bool>* const abort_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int count_ = 0;
-  std::uint64_t generation_ = 0;
-};
-
-/// Dissemination barrier: ceil(log2 p) rounds; in round r, processor i
-/// signals processor (i + 2^r) mod p and waits for its own round-r signal.
-class DisseminationBarrier final : public Barrier {
- public:
-  DisseminationBarrier(int nprocs, const std::atomic<bool>* abort_flag);
-  void arrive_and_wait(int pid) override;
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> signals{0};
-  };
-  const int nprocs_;
-  int rounds_ = 0;
-  const std::atomic<bool>* const abort_;
-  // slots_[r * nprocs_ + pid]: signals received by `pid` in round r.
-  // (unique_ptr array: atomics are neither copyable nor movable.)
-  std::unique_ptr<Slot[]> slots_;
-  // expected_[pid * rounds_ + r]: signals `pid` has consumed in round r.
-  // Only thread `pid` touches its row.
-  std::vector<std::uint64_t> expected_;
-};
+/// perfbench-only shim: perfbench's barrier probe builds its barrier through
+/// this call. The one enumerator names no choice; every call returns the one
+/// Barrier above.
+enum class BarrierKind { CentralBlocking };
 
 std::unique_ptr<Barrier> make_barrier(BarrierKind kind, int nprocs,
                                       const std::atomic<bool>* abort_flag);

@@ -36,7 +36,7 @@ enum class DeliveryStrategy {
   /// worker owns a stream socket to every peer, and the superstep boundary
   /// runs the rigid (p-1)-stage total exchange (stage k: pid i sends to
   /// (i+k) mod p and receives from (i-k) mod p, length-prefixed frames).
-  /// No boundary barriers: the exchange itself is the synchronisation, as on
+  /// No boundary barrier: the exchange itself is the synchronisation, as on
   /// the real PC-LAN. See core/transport_staged.hpp.
   Socket,
   /// The same staged exchange over AF_INET/TCP between separate OS
@@ -72,23 +72,10 @@ enum class CollectiveSchedule {
   TwoPhase,
 };
 
-/// Barrier algorithm used at superstep boundaries.
-enum class BarrierKind {
-  /// Central sense-reversing spin barrier (with yielding), in the spirit of
-  /// the paper's spin-flag synchronisation.
-  CentralSpin,
-  /// Mutex + condition-variable central barrier; friendly to oversubscribed
-  /// hosts where spinning burns the one core the other workers need.
-  CentralBlocking,
-  /// Dissemination barrier: ceil(log2 p) rounds of pairwise signals.
-  Dissemination,
-};
-
 struct Config {
   int nprocs = 1;
   Scheduling scheduling = Scheduling::Parallel;
   DeliveryStrategy delivery = DeliveryStrategy::Deferred;
-  BarrierKind barrier = BarrierKind::CentralBlocking;
 
   /// Deliver messages sorted by (source, sequence). The paper's library
   /// returns packets "in any arbitrary order"; tests use this for

@@ -158,10 +158,12 @@ void Runtime::end_boundary(detail::WorkerState& st) {
     scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
   } else if (transport_->needs_boundary_barriers()) {
     // Every worker sealed its sends at begin_boundary, so once all arrive
-    // here the senders are quiescent.
-    barrier_a_->arrive_and_wait(st.pid);
+    // here this superstep's parity of every sender is quiescent. One barrier
+    // is enough: a sender that runs ahead stages into the other parity, and
+    // it cannot come back to this one before every receiver has arrived at
+    // the next boundary, which is after that receiver finished delivering.
+    barrier_->arrive_and_wait(st.pid);
     transport_->finish_exchange(st);
-    barrier_b_->arrive_and_wait(st.pid);
   } else {
     // Self-synchronising transport: finish_exchange blocks until every
     // peer's data for this boundary has arrived — the exchange is the
@@ -278,6 +280,7 @@ void Runtime::record_error(std::exception_ptr e, int pid) {
     }
   }
   abort_.store(true, std::memory_order_release);
+  barrier_->wake_on_abort();
 }
 
 void Runtime::report_error(std::exception_ptr e, int pid) {
@@ -380,8 +383,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   // calls, not just across supersteps. A failed attempt marked the socket
   // wire dirty, so a retry gets a fresh mesh.
   transport_->reset_run(states_);
-  barrier_a_ = make_barrier(cfg_.barrier, nl, &abort_);
-  barrier_b_ = make_barrier(cfg_.barrier, nl, &abort_);
+  barrier_ = std::make_unique<Barrier>(nl, &abort_);
   scheduler_.reset();
   if (cfg_.scheduling == Scheduling::Serialized) {
     scheduler_ = std::make_unique<SerialScheduler>(p, [this, p] {

@@ -20,10 +20,10 @@
 //    after the final sync() are an error, diagnosed at worker exit. A
 //    sync_begin()/sync_end() pair is one boundary — it counts as one sync().
 //
-// Layering: the Runtime owns worker lifecycle, scheduling, barriers, and
-// instrumentation. All message movement — staging, flushing, boundary
-// exchange — goes through the Transport selected by Config::delivery
-// (core/transport.hpp), which owns every message arena.
+// Layering: the Runtime owns worker lifecycle, scheduling, the superstep
+// barrier, and instrumentation. All message movement — staging, flushing,
+// boundary exchange — goes through the Transport selected by
+// Config::delivery (core/transport.hpp), which owns every message arena.
 #pragma once
 
 #include <atomic>
@@ -254,9 +254,8 @@ class Runtime {
   void worker_main(int local, const std::function<void(Worker&)>& fn);
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
-  /// carrying the global rank (Config::rank), boundary barriers have size 1,
-  /// and cross-rank synchronisation is the transport's staged exchange
-  /// itself. RunStats then holds this rank's trace only, and checkpoint
+  /// carrying the global rank (Config::rank), and cross-rank
+  /// synchronisation is the transport's staged exchange itself. RunStats then holds this rank's trace only, and checkpoint
   /// resume degrades to whole-run replay (RecoveryManager::latest_complete
   /// spans all nprocs ranks, of which only the local one ever checkpoints
   /// here).
@@ -270,8 +269,8 @@ class Runtime {
   void do_sync_end(detail::WorkerState& st);
   /// The two halves every boundary shares — rigid sync() and the split
   /// pair alike: begin_boundary seals the sends and starts the exchange;
-  /// end_boundary completes delivery (under the barriers or the scheduler,
-  /// as the mode requires), bumps the superstep and progress counters,
+  /// end_boundary completes delivery (after the one barrier, inside the
+  /// staged exchange, or under the scheduler, as the mode requires), bumps the superstep and progress counters,
   /// checkpoints, and opens the next work slice.
   void begin_boundary(detail::WorkerState& st);
   void end_boundary(detail::WorkerState& st);
@@ -301,8 +300,7 @@ class Runtime {
   SlabPool pool_;
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<detail::WorkerState>> states_;
-  std::unique_ptr<Barrier> barrier_a_;
-  std::unique_ptr<Barrier> barrier_b_;
+  std::unique_ptr<Barrier> barrier_;
   std::unique_ptr<SerialScheduler> scheduler_;
   std::atomic<bool> abort_{false};
   std::mutex error_mutex_;

@@ -83,11 +83,17 @@ struct BspTransportError : std::runtime_error {
 ///    state.
 ///  * finish_exchange() in Parallel mode is called concurrently, one call
 ///    per worker. For barrier transports (needs_boundary_barriers() == true)
-///    the calls run strictly between the two boundary barriers, when no
-///    worker is sending — implementations may therefore read *any* worker's
-///    sender-side arenas without locks, but may mutate only state belonging
-///    to `st`. For self-synchronising transports (the staged ones) there is
-///    no global quiescent point: every boundary call may touch only st's own
+///    the calls run after the one boundary barrier, when every worker has
+///    sealed the ended superstep's sends — but a worker that already
+///    finished its own delivery may be sending in the next superstep.
+///    Sender-side state is therefore kept per superstep parity (the paper's
+///    Appendix B.1 alternating buffers): implementations may read, without
+///    locks, the ended superstep's parity of *any* worker's sender-side
+///    arenas, and mutate only state belonging to `st` and that parity's
+///    arenas addressed to `st`. A sender cannot come back to that parity
+///    before every receiver has arrived at the next boundary's barrier.
+///    For self-synchronising transports (the staged ones) there is no
+///    global quiescent point: every boundary call may touch only st's own
 ///    state and st's endpoints, and must tolerate peers that are still
 ///    computing.
 ///  * exchange() is invoked by the SerialScheduler from whichever worker
@@ -99,11 +105,11 @@ class Transport {
 
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// True when superstep boundaries must bracket delivery with two global
-  /// barriers (delivery reads sender-side state that must be quiescent).
-  /// Self-synchronising transports return false: their exchange blocks until
-  /// every peer's data for this boundary has arrived, which is exactly the
-  /// synchronisation a barrier would provide.
+  /// True when superstep boundaries must precede delivery with a global
+  /// barrier (delivery reads the ended superstep's sender-side state, which
+  /// must be sealed). Self-synchronising transports return false: their
+  /// exchange blocks until every peer's data for this boundary has arrived,
+  /// which is exactly the synchronisation a barrier would provide.
   [[nodiscard]] virtual bool needs_boundary_barriers() const = 0;
 
   /// True when steady-state supersteps are served entirely by slab recycling
@@ -131,8 +137,8 @@ class Transport {
   virtual std::byte* stage_reserve(detail::WorkerState& st, int dest,
                                    std::size_t n) = 0;
 
-  /// Sender-side boundary hook: seals `st`'s sends (before the first
-  /// barrier, for barrier transports). The whole of begin_exchange() for
+  /// Sender-side boundary hook: seals `st`'s sends (before the barrier, for
+  /// barrier transports). The whole of begin_exchange() for
   /// transports without incremental progress.
   virtual void flush(detail::WorkerState& st) = 0;
 
@@ -154,8 +160,8 @@ class Transport {
   /// Completes `st`'s boundary exchange and delivers everything sent to it
   /// during the ended superstep: rebuilds st.inbox with views, valid until
   /// st's next boundary, and charges st.step.recv_packets/recv_messages
-  /// (Config::collect_stats). For barrier transports the runtime brackets
-  /// this with the two boundary barriers.
+  /// (Config::collect_stats). For barrier transports the runtime calls
+  /// this after the boundary barrier.
   virtual void finish_exchange(detail::WorkerState& st) = 0;
 
   /// Serialized-mode global exchange: delivers for every worker in one call

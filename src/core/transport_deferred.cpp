@@ -2,6 +2,14 @@
 
 namespace gbsp {
 
+namespace {
+
+std::size_t parity(const detail::WorkerState& st) {
+  return static_cast<std::size_t>(st.superstep % 2);
+}
+
+}  // namespace
+
 void DeferredTransport::reset_run(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
   const std::size_t p = states.size();
@@ -11,10 +19,10 @@ void DeferredTransport::reset_run(
   per_.clear();
   per_.resize(p);
   for (PerWorker& pw : per_) {
-    pw.outbox.reserve(p);
+    for (auto& out : pw.outbox) out.reserve(p);
     pw.inbox_from.reserve(p);
     for (std::size_t d = 0; d < p; ++d) {
-      pw.outbox.emplace_back(pool_);
+      for (auto& out : pw.outbox) out.emplace_back(pool_);
       pw.inbox_from.emplace_back(pool_);
     }
   }
@@ -25,7 +33,8 @@ std::byte* DeferredTransport::stage_reserve(detail::WorkerState& st, int dest,
   const std::size_t d = static_cast<std::size_t>(dest);
   // The zero-allocation send path: bump-append a frame into the recycled
   // per-destination arena; the caller fills the payload slot in place.
-  MessageArena& arena = per_[static_cast<std::size_t>(st.pid)].outbox[d];
+  MessageArena& arena =
+      per_[static_cast<std::size_t>(st.pid)].outbox[parity(st)][d];
   return arena.append(static_cast<std::uint32_t>(st.pid), st.seq_to[d]++, n);
 }
 
@@ -40,16 +49,17 @@ void DeferredTransport::finish_exchange(detail::WorkerState& dst) {
   dst.inbox.clear();
   dst.inbox_cursor = 0;
   PerWorker& mine = per_[static_cast<std::size_t>(dst.pid)];
-  // Swap each source's filled outbox arena against the drained arena this
-  // receiver holds from two boundaries ago: the pair ping-pongs forever, so
-  // steady-state supersteps never touch the allocator. Walking sources in
-  // pid order yields views already (source, seq)-sorted — deterministic
-  // delivery needs no sort here.
+  const std::size_t par = parity(dst);
+  // Swap each source's filled outbox arena of this superstep's parity
+  // against the drained arena this receiver holds from the boundary before;
+  // the source refills the drained one two supersteps from now. Walking
+  // sources in pid order yields views already (source, seq)-sorted —
+  // deterministic delivery needs no sort here.
   std::size_t total = 0;
   for (std::size_t s = 0; s < per_.size(); ++s) {
     MessageArena& drained = mine.inbox_from[s];
     drained.clear();
-    std::swap(drained, per_[s].outbox[static_cast<std::size_t>(dst.pid)]);
+    std::swap(drained, per_[s].outbox[par][static_cast<std::size_t>(dst.pid)]);
     total += drained.message_count();
   }
   dst.inbox.reserve(total);
@@ -61,8 +71,10 @@ void DeferredTransport::finish_exchange(detail::WorkerState& dst) {
 }
 
 bool DeferredTransport::has_unflushed(const detail::WorkerState& st) const {
+  // Only the current parity: the other one belongs to receivers that may
+  // still be delivering the superstep before.
   const PerWorker& pw = per_[static_cast<std::size_t>(st.pid)];
-  for (const MessageArena& a : pw.outbox) {
+  for (const MessageArena& a : pw.outbox[parity(st)]) {
     if (!a.empty()) return true;
   }
   return false;

@@ -1,12 +1,16 @@
 // Deferred delivery: the lock-free whole-arena exchange.
 //
-// Senders buffer locally, one recycled arena per destination; at the
-// superstep boundary the receiver swaps each source's filled outbox arena
-// against the drained arena it holds from two boundaries ago. The pair
-// ping-pongs forever, so steady-state supersteps never touch the allocator
+// Senders buffer locally, one recycled arena per destination and superstep
+// parity (the paper's Appendix B.1 alternating buffers): superstep t stages
+// into outbox[t % 2]. After the boundary barrier the receiver swaps each
+// source's filled outbox arena of that parity against the drained arena it
+// holds from the boundary before, while a sender already in superstep t+1
+// fills the other parity. The three arenas of each (source, destination)
+// pair rotate forever, so steady-state supersteps never touch the allocator
 // and no lock is ever taken — the natural BSP realisation on shared memory.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/transport.hpp"
@@ -34,10 +38,10 @@ class DeferredTransport final : public detail::TransportBase {
 
  private:
   struct PerWorker {
-    // outbox[d]: the arena this processor fills for destination d during the
-    // superstep. inbox_from[s]: the drained arena this processor holds for
-    // source s, swapped against s's outbox at the boundary.
-    std::vector<MessageArena> outbox;
+    // outbox[t % 2][d]: the arena this processor fills for destination d
+    // during superstep t. inbox_from[s]: the drained arena this processor
+    // holds for source s, swapped against s's outbox at the boundary.
+    std::array<std::vector<MessageArena>, 2> outbox;
     std::vector<MessageArena> inbox_from;
   };
 

@@ -34,7 +34,7 @@ std::byte* EagerTransport::stage_reserve(detail::WorkerState& st, int dest,
   if (arena.message_count() >= cfg_.eager_chunk_messages) {
     // The chunk flush splices whole slab chains into the destination's input
     // buffer; slabs are never copied or moved, so `slot` stays writable — the
-    // receiver cannot observe it before the boundary barriers anyway.
+    // receiver cannot observe it before the boundary barrier anyway.
     flush_one(st, dest);
   }
   return slot;
@@ -75,9 +75,10 @@ void EagerTransport::finish_exchange(detail::WorkerState& dst) {
   dst.inbox_cursor = 0;
   PerWorker& pw = *per_[static_cast<std::size_t>(dst.pid)];
   const std::size_t parity = static_cast<std::size_t>((dst.superstep + 1) % 2);
-  // No lock needed: delivery happens strictly between the two superstep
-  // barriers (parallel mode) or under the scheduler lock (serialized mode),
-  // when no sender can be writing this parity.
+  // No lock needed: delivery runs after the boundary barrier (parallel
+  // mode) or under the scheduler lock (serialized mode), when no sender can
+  // be writing this parity — a sender already in the next superstep splices
+  // into the other one.
   pw.inbox_arena.release_slabs();  // last superstep's views are dead now
   std::swap(pw.inbox_arena, pw.inbuf[parity]);
   dst.inbox.reserve(pw.inbox_arena.message_count());

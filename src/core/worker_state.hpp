@@ -1,5 +1,5 @@
 // Per-processor runtime state shared between the Runtime (worker lifecycle,
-// barriers, instrumentation) and the Transport (message delivery).
+// the barrier, instrumentation) and the Transport (message delivery).
 //
 // WorkerState deliberately carries only transport-agnostic fields: identity,
 // sequence counters, the inbox *views* handed to application code, and the

@@ -1,16 +1,20 @@
 // Conformance tests for the Green BSP runtime, parameterized over every
-// combination of scheduling mode, delivery strategy, and barrier algorithm —
-// all combinations must implement identical BSP semantics.
+// combination of scheduling mode, delivery strategy, and the CPUs the
+// barrier's workers run on — all combinations must implement identical BSP
+// semantics.
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/collectives.hpp"
@@ -20,10 +24,18 @@
 namespace gbsp {
 namespace {
 
+// The CPUs a Parallel deferred or eager run's workers may use. The one
+// barrier derives its wait policy from them: on the process's own CPUs it
+// mostly spins; on one CPU it yields and parks; on two, from p = 3 on,
+// parked waiters are woken by a peer running on the other CPU. The name
+// suffixes Spin, Block and Diss are those of the three barrier classes these
+// instances ran on before there was one.
+enum class Cpus { Own, One, Two };
+
 struct RuntimeParam {
   Scheduling scheduling;
   DeliveryStrategy delivery;
-  BarrierKind barrier;
+  Cpus cpus;
   int nprocs;
 };
 
@@ -38,10 +50,10 @@ std::string param_name(const testing::TestParamInfo<RuntimeParam>& info) {
     case DeliveryStrategy::Tcp: s += "Tcp"; break;
     case DeliveryStrategy::Shm: s += "Shm"; break;
   }
-  switch (p.barrier) {
-    case BarrierKind::CentralSpin: s += "Spin"; break;
-    case BarrierKind::CentralBlocking: s += "Block"; break;
-    case BarrierKind::Dissemination: s += "Diss"; break;
+  switch (p.cpus) {
+    case Cpus::Own: s += "Spin"; break;
+    case Cpus::One: s += "Block"; break;
+    case Cpus::Two: s += "Diss"; break;
   }
   s += "P" + std::to_string(p.nprocs);
   return s;
@@ -52,17 +64,17 @@ std::vector<RuntimeParam> all_params() {
   for (auto sched : {Scheduling::Parallel, Scheduling::Serialized}) {
     for (auto del : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager,
                      DeliveryStrategy::Socket}) {
-      for (auto bar : {BarrierKind::CentralSpin, BarrierKind::CentralBlocking,
-                       BarrierKind::Dissemination}) {
-        // Barriers are unused by the serialized scheduler and by the
-        // self-synchronising socket transport; testing one kind suffices.
+      for (auto cpus : {Cpus::Own, Cpus::One, Cpus::Two}) {
+        // The serialized scheduler and the self-synchronising socket
+        // transport run no barrier; they keep one instance on the process's
+        // own CPUs.
         if ((sched == Scheduling::Serialized ||
              del == DeliveryStrategy::Socket) &&
-            bar != BarrierKind::CentralBlocking) {
+            cpus != Cpus::One) {
           continue;
         }
         for (int p : {1, 2, 3, 4, 7}) {
-          out.push_back({sched, del, bar, p});
+          out.push_back({sched, del, cpus, p});
         }
       }
     }
@@ -72,16 +84,54 @@ std::vector<RuntimeParam> all_params() {
 
 class RuntimeSemantics : public testing::TestWithParam<RuntimeParam> {
  protected:
+  // Narrows this thread's affinity before any Runtime is built, so the
+  // barrier sizes its wait policy from it and the workers inherit it. The
+  // CPU the thread is on comes first, so `ctest -j` spreads the instances.
+  void SetUp() override {
+    const RuntimeParam& p = GetParam();
+    if (p.cpus == Cpus::Own || p.scheduling != Scheduling::Parallel ||
+        p.delivery == DeliveryStrategy::Socket) {
+      return;
+    }
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved_), &saved_), 0);
+    const int here = sched_getcpu();
+    ASSERT_GE(here, 0);
+    cpu_set_t narrow;
+    CPU_ZERO(&narrow);
+    CPU_SET(here, &narrow);
+    if (p.cpus == Cpus::Two) {
+      for (int k = 1; k < CPU_SETSIZE; ++k) {
+        const int cpu = (here + k) % CPU_SETSIZE;
+        if (CPU_ISSET(cpu, &saved_)) {
+          CPU_SET(cpu, &narrow);
+          break;
+        }
+      }
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(narrow), &narrow), 0);
+    narrowed_ = true;
+  }
+
+  // A direct binary run executes every instance in one process.
+  void TearDown() override {
+    if (narrowed_) {
+      EXPECT_EQ(sched_setaffinity(0, sizeof(saved_), &saved_), 0);
+    }
+  }
+
   [[nodiscard]] Config make_config(bool deterministic = false) const {
     const RuntimeParam& p = GetParam();
     Config cfg;
     cfg.nprocs = p.nprocs;
     cfg.scheduling = p.scheduling;
     cfg.delivery = p.delivery;
-    cfg.barrier = p.barrier;
     cfg.deterministic_delivery = deterministic;
     return cfg;
   }
+
+ private:
+  cpu_set_t saved_{};
+  bool narrowed_ = false;
 };
 
 TEST_P(RuntimeSemantics, RingDeliversFromLeftNeighbor) {
@@ -503,6 +553,74 @@ TEST_P(RuntimeSemantics, DeterministicOrderSurvivesChunkedEagerFlushes) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RuntimeSemantics,
                          testing::ValuesIn(all_params()), param_name);
+
+// ------------------------------------------------ the in-memory boundary
+
+// Rows for the one barrier that deferred and eager cross per superstep.
+class InMemoryBoundary : public testing::TestWithParam<DeliveryStrategy> {
+ protected:
+  [[nodiscard]] Config make_config() const {
+    Config cfg;
+    cfg.nprocs = 4;
+    cfg.delivery = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(InMemoryBoundary, ReceiverHeldInDeliveryGetsOnlyItsSuperstep) {
+  // Rank 1 is held in delivery at the end of superstep 2 while its peers,
+  // past the barrier, deliver and stage superstep 3 — to rank 1 as well.
+  // Those sends must wait in the other parity, not join what rank 1 is
+  // still delivering.
+  Runtime rt(make_config());
+  rt.set_fault_plan(
+      parse_fault_plan("site=deliver,kind=delay,rank=1,step=2,arg=20000"));
+  const int p = rt.config().nprocs;
+  const RunStats stats = rt.run([p](Worker& w) {
+    for (std::uint64_t s = 0; s < 6; ++s) {
+      const std::uint64_t tag = (s << 32) | static_cast<std::uint64_t>(w.pid());
+      for (int d = 0; d < p; ++d) w.send(d, tag);
+      w.sync();
+      EXPECT_EQ(w.pending(), static_cast<std::size_t>(p))
+          << "pid " << w.pid() << " superstep " << s;
+      while (const Message* m = w.get_message()) {
+        const auto got = m->as<std::uint64_t>();
+        EXPECT_EQ(got >> 32, s) << "pid " << w.pid() << " from " << m->source;
+        EXPECT_EQ(got & 0xffffffffu, m->source);
+      }
+    }
+  });
+  EXPECT_EQ(stats.S(), 7u);
+  EXPECT_EQ(stats.recoveries, 0u);
+}
+
+TEST_P(InMemoryBoundary, AbortWakesParkedWaiters) {
+  // Rank 3 fails only after its peers have spun, yielded and parked at the
+  // barrier; its error must wake them, not leave them parked for good.
+  Runtime rt(make_config());
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    rt.run([](Worker& w) {
+      if (w.pid() == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        throw std::runtime_error("rank 3 failed");
+      }
+      w.sync();
+    });
+    FAIL() << "expected rank 3's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 failed");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InMemory, InMemoryBoundary,
+    testing::Values(DeliveryStrategy::Deferred, DeliveryStrategy::Eager),
+    [](const testing::TestParamInfo<DeliveryStrategy>& info) {
+      return std::string(info.param == DeliveryStrategy::Deferred ? "Deferred"
+                                                                  : "Eager");
+    });
 
 // ------------------------------------------------- non-parameterized extras
 
