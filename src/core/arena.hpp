@@ -17,7 +17,9 @@
 //
 // Delivery moves whole arenas: the Deferred strategy swaps a sender's filled
 // outbox arena against the receiver's drained one; the Eager strategy splices
-// slab chains into the receiver's parity inbuf under its chunk lock. Payload
+// slab chains into the receiver's parity inbuf under its chunk lock; the
+// staged transports stream arenas through for_each_payload_span and clear
+// them in place, swapping only the self-addressed outbox. Payload
 // pointers handed to applications (Message views, bspGetPkt) stay valid until
 // the owning worker's next sync(), when the backing arena is cleared or its
 // slabs are returned to the pool.
@@ -27,8 +29,10 @@
 // to 16), so applications may overlay 8-byte-aligned PODs directly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -189,21 +193,31 @@ class MessageArena {
     }
   }
 
-  /// Visits the payload byte ranges of every non-empty frame, in frame order,
-  /// as (pointer, length) spans suitable for scatter-gather I/O (iovec
-  /// entries). Physically adjacent payloads coalesce into one span: 16-byte-
-  /// multiple out-of-line payloads pack back-to-back in the byte slabs, so a
-  /// burst of same-sized large messages walks as one span per slab. Inline
-  /// payloads (interleaved with frame metadata) emit one span each. The sum
-  /// of span lengths equals payload_bytes().
+  /// Visits the payload bytes of every non-empty frame, in frame order, as
+  /// (pointer, length) spans suitable for scatter-gather I/O (iovec
+  /// entries); the span lengths sum to payload_bytes(). Inline payloads sit
+  /// between frame metadata, so each is first copied to the next free byte
+  /// of `pack`, which is resized to hold them all and must stay untouched
+  /// while the spans are in use; out-of-line payloads are visited where they
+  /// lie. Physically adjacent payloads coalesce into one span: a run of
+  /// inline payloads walks as one span of `pack`, and a burst of
+  /// 16-byte-multiple out-of-line payloads, which sit back-to-back in the
+  /// byte slabs, as one span per slab.
   template <typename F>
-  void for_each_payload_span(F&& f) const {
+  void for_each_payload_span(std::vector<std::byte>& pack, F&& f) const {
+    pack.resize(std::min(payload_bytes_, frames_ * kInlineCapacity));
+    std::byte* next = pack.data();
     const std::byte* run = nullptr;
     std::size_t run_len = 0;
     for_each_frame([&](const Frame& fr) {
       if (fr.len == 0) return;
-      const std::byte* p = fr.payload();
       const std::size_t len = static_cast<std::size_t>(fr.len);
+      const std::byte* p = fr.ext;
+      if (len <= kInlineCapacity) {
+        std::memcpy(next, fr.inl, len);
+        p = next;
+        next += len;
+      }
       if (p == run + run_len) {
         run_len += len;
         return;

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/barrier.hpp"     // BspAborted
 #include "core/transport.hpp"  // BspTransportError
@@ -24,12 +25,6 @@ namespace {
 /// enough to allocate for it: a claimed block above this is stream
 /// corruption, not traffic (2^26 frames per stage).
 constexpr std::uint64_t kMaxHeaderBlockBytes = std::uint64_t{1} << 30;
-
-void append_bytes(std::vector<std::byte>& buf, const void* data,
-                  std::size_t n) {
-  const std::byte* p = static_cast<const std::byte*>(data);
-  buf.insert(buf.end(), p, p + n);
-}
 
 std::size_t iov_max() {
   static const std::size_t v = [] {
@@ -63,6 +58,7 @@ void ExchangeEngine::attach(int pid, int nprocs) {
   outbox_.clear();
   outbox_.reserve(static_cast<std::size_t>(nprocs));
   for (int d = 0; d < nprocs; ++d) outbox_.emplace_back(pool_);
+  self_arena_.release_slabs();
   inbox_arena_.release_slabs();
   // Each pair's data path is chosen once, here: the mesh's shared-memory
   // rings when it has them, else the stream fd itself.
@@ -84,6 +80,7 @@ void ExchangeEngine::attach(int pid, int nprocs) {
 
 void ExchangeEngine::reset_for_reuse() {
   for (MessageArena& ob : outbox_) ob.release_slabs();
+  self_arena_.release_slabs();
   inbox_arena_.release_slabs();
   // Staged-but-undelivered descriptor frames die with their outbox arenas.
   // boundary_count_ deliberately survives: the mesh and its segments persist
@@ -166,7 +163,10 @@ std::byte* ExchangeEngine::try_reserve_zc(WorkerState& st, int dest,
 void ExchangeEngine::open_boundary(WorkerState& dst) {
   dst.inbox.clear();
   dst.inbox_cursor = 0;
-  inbox_arena_.release_slabs();  // last superstep's views are dead now
+  // Last superstep's views are dead now: their arenas recycle in place,
+  // keeping their slabs, so a boundary takes nothing from the pool.
+  self_arena_.clear();
+  inbox_arena_.clear();
   // Opening boundary b invalidates the views delivered at boundary b-1;
   // publishing the count to every ring peer is what lets it recycle the slab
   // half those views aliased (the zero-copy epoch feedback channel).
@@ -178,8 +178,10 @@ void ExchangeEngine::open_boundary(WorkerState& dst) {
     }
   }
   zc_in_.clear();  // defensive: an unwound publish must not leak fixups
-  // Stage 0 of the schedule: self-delivery moves whole slabs, no wire.
-  inbox_arena_.splice_from(outbox_[static_cast<std::size_t>(dst.pid)]);
+  // Stage 0 of the schedule: self-delivery swaps the filled self-addressed
+  // outbox against the drained self arena, no wire; the worker refills the
+  // drained one in the coming superstep.
+  std::swap(self_arena_, outbox_[static_cast<std::size_t>(dst.pid)]);
 }
 
 void ExchangeEngine::apply_zc_views(WorkerState& dst,
@@ -226,20 +228,17 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   ss.send_pre.count = ob.message_count();
   ss.send_pre.header_bytes = ob.message_count() * sizeof(WireFrameHeader);
   ss.send_pre.payload_bytes = ob.payload_bytes();
-  // Pack the header block; payloads are NOT serialized — the iovec below
-  // points sendmsg straight at the staging arena's slabs, so the payload
-  // section leaves the process from the memory the sender wrote it to.
-  hdr_out_.clear();
-  hdr_out_.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
-  // zc_out_ holds the arena ordinals (ascending, by construction) of frames
-  // that are zero-copy descriptors; those get pad == 1 on the wire so the
-  // receiver knows to resolve them against the slab instead of treating the
-  // 16 descriptor bytes as the payload.
+  // Write the header block in place. zc_out_ holds the arena ordinals
+  // (ascending, by construction) of frames that are zero-copy descriptors;
+  // those get pad == 1 on the wire so the receiver knows to resolve them
+  // against the slab instead of treating the 16 descriptor bytes as the
+  // payload.
+  hdr_out_.resize(ob.message_count());
   const std::vector<std::size_t>& zc = zc_out_[sp];
   std::size_t zi = 0;
   std::size_t ordinal = 0;
   ob.for_each_frame([&](const MessageArena::Frame& f) {
-    WireFrameHeader h;
+    WireFrameHeader& h = hdr_out_[ordinal];
     h.seq = f.seq;
     h.pad = 0;
     if (zi < zc.size() && zc[zi] == ordinal) {
@@ -247,18 +246,21 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
       ++zi;
     }
     h.len = f.len;
-    append_bytes(hdr_out_, &h, sizeof(h));
     ++ordinal;
   });
   zc_out_[sp].clear();
   send_iov_.clear();
   send_iov_.push_back({&ss.send_pre, sizeof(StagePreamble)});
   if (!hdr_out_.empty()) {
-    send_iov_.push_back({hdr_out_.data(), hdr_out_.size()});
+    send_iov_.push_back(
+        {hdr_out_.data(), hdr_out_.size() * sizeof(WireFrameHeader)});
   }
-  ob.for_each_payload_span([&](const std::byte* ptr, std::size_t len) {
-    send_iov_.push_back({const_cast<std::byte*>(ptr), len});
-  });
+  // The payload section: runs of small payloads packed into pack_out_, one
+  // entry each; larger payloads straight from the staging arena's slabs.
+  ob.for_each_payload_span(
+      pack_out_, [&](const std::byte* ptr, std::size_t len) {
+        send_iov_.push_back({const_cast<std::byte*>(ptr), len});
+      });
   // The arena stays live (it backs the iovec) until pump_send retires the
   // last entry and clears it.
   ss.send_arena = &ob;
@@ -428,6 +430,7 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
   // corrupt stream must not size allocations or leave half-parsed frames.
   const bool zc_link = links_[static_cast<std::size_t>(src)].ring != nullptr;
   std::uint64_t sum = 0;
+  std::size_t packed = 0;  // inline-sized payload bytes
   for (std::size_t i = 0; i < count; ++i) {
     WireFrameHeader h;
     std::memcpy(&h, hdr_in_.data() + i * sizeof(WireFrameHeader), sizeof(h));
@@ -451,6 +454,9 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
           /*err=*/0, ss.recv_moved);
     }
     sum += h.len;
+    if (h.len <= MessageArena::kInlineCapacity) {
+      packed += static_cast<std::size_t>(h.len);
+    }
   }
   if (sum != ss.recv_pre.payload_bytes) {
     throw BspTransportError(
@@ -461,26 +467,43 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
         st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
         /*err=*/0, ss.recv_moved);
   }
-  // Second pass appends the frames and points an iovec at every non-empty
-  // payload slot, so the payload section readv()s straight into the memory
-  // the receiver's views will expose. Slots are pointer-stable across
-  // appends (slabs never move).
+  // Second pass appends the frames and builds the payload section's read
+  // list: a run of inline-sized payloads reads as one entry into pack_in_
+  // (unpacked into the frames' inline slots once the section is in), a
+  // larger payload straight into the slot the receiver's view will expose.
+  // Slots are pointer-stable across appends (slabs never move).
+  pack_in_.resize(packed);
+  std::byte* pack = pack_in_.data();
+  bool in_run = false;
   recv_iov_.clear();
+  unpack_.clear();
   for (std::size_t i = 0; i < count; ++i) {
     WireFrameHeader h;
     std::memcpy(&h, hdr_in_.data() + i * sizeof(WireFrameHeader), sizeof(h));
     if (h.pad == 1) {
-      // The arena ordinal equals the final inbox index (the inbox was
-      // cleared at open_boundary and publish appends the whole arena), so
-      // this is where apply_zc_views finds the descriptor to resolve.
-      zc_in_.push_back({inbox_arena_.message_count(), src});
+      // The self frames come first in the inbox and publish appends the
+      // whole inbox arena after them, so this is the final inbox index,
+      // where apply_zc_views finds the descriptor to resolve.
+      zc_in_.push_back(
+          {self_arena_.message_count() + inbox_arena_.message_count(), src});
     }
+    const std::size_t len = static_cast<std::size_t>(h.len);
     std::byte* slot =
-        inbox_arena_.append(static_cast<std::uint32_t>(src), h.seq,
-                            static_cast<std::size_t>(h.len));
-    if (h.len != 0) {
-      recv_iov_.push_back({slot, static_cast<std::size_t>(h.len)});
+        inbox_arena_.append(static_cast<std::uint32_t>(src), h.seq, len);
+    if (len == 0) continue;
+    if (len > MessageArena::kInlineCapacity) {
+      recv_iov_.push_back({slot, len});
+      in_run = false;
+      continue;
     }
+    unpack_.push_back({slot, len});
+    if (in_run) {
+      recv_iov_.back().iov_len += len;
+    } else {
+      recv_iov_.push_back({pack, len});
+      in_run = true;
+    }
+    pack += len;
   }
   ss.recv_idx = 0;
   ss.phase = recv_iov_.empty() ? StageState::Phase::Done
@@ -497,7 +520,7 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
     }
     // Where the current section lands: the preamble scratch, the whole
     // remaining header block in one bulk read (the receive-side win over a
-    // per-frame state machine), or the payload slots in the inbox arena.
+    // per-frame state machine), or the payload runs and slots.
     iovec one{};
     const iovec* iov = &one;
     std::size_t cnt = 1;
@@ -597,6 +620,11 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
       case StageState::Phase::Payload:
         advance_iov(recv_iov_, ss.recv_idx, got);
         if (ss.recv_idx == recv_iov_.size()) {
+          const std::byte* p = pack_in_.data();
+          for (const iovec& u : unpack_) {
+            std::memcpy(u.iov_base, p, u.iov_len);
+            p += u.iov_len;
+          }
           ss.phase = StageState::Phase::Done;
         }
         break;

@@ -3,9 +3,9 @@
 // exchange over whatever endpoints a Mesh (core/mesh.hpp) provides.
 //
 // One engine serves one local rank. It owns that rank's staging state (the
-// per-destination outbox arenas, the inbox arena the receiver's views live
-// in, and reusable per-stage scratch) and the whole wire protocol; the mesh
-// owns fds and buffer sizing; the transport that composes the two
+// per-destination outbox arenas, the self and inbox arenas the receiver's
+// views live in, and reusable per-stage scratch) and the whole wire protocol;
+// the mesh owns fds and buffer sizing; the transport that composes the two
 // (StagedTransport, core/transport_staged.hpp) owns publication (inbox
 // views), dirty-wire marking, and the Transport seam.
 //
@@ -17,14 +17,22 @@
 //   payload_block := payload[0] .. payload[count-1]   (no padding)
 //
 // with the invariants header_bytes == count*16 and payload_bytes ==
-// sum(len). Sectioning is what makes both ends cheap. The sender never
-// serializes: it points an iovec at the preamble, a packed header block, and
-// the staging arena's payload spans themselves, and pumps with sendmsg —
-// zero payload copies, one syscall per ~IOV_MAX spans. The receiver does
-// three bulk reads: the preamble, the whole header block into a reusable
-// buffer, then readv of the payload block straight into inbox-arena slots
-// (no bounce buffer), so inbox views keep the same lifetime contract as the
-// in-memory transports: valid until the receiving worker's next sync().
+// sum(len). Sectioning is what makes both ends cheap. The sender writes the
+// header block in place into a reusable buffer and walks the payload
+// section as spans (MessageArena::for_each_payload_span): each inline
+// payload (<= MessageArena::kInlineCapacity bytes) is copied into a reusable
+// pack buffer, so a run of small messages leaves as one iovec entry, while
+// out-of-line payloads leave zero-copy from the staging arena, adjacent ones
+// merged; one sendmsg moves ~IOV_MAX spans. The receiver does three bulk
+// reads: the preamble, the whole header block into a reusable buffer, then
+// readv of the payload block — one entry per run of inline-sized frames
+// into a reusable pack buffer, sized from the validated header block, and
+// one straight into its inbox-arena slot per out-of-line frame. Once the
+// payload block is in, each packed payload is copied into its frame's inline
+// slot. Inbox views keep the same lifetime contract as the in-memory
+// transports: valid until the receiving worker's next sync(), when the inbox
+// arena is cleared in place and the self-delivered arena swaps back to the
+// sender side, so a steady state of equal supersteps allocates no slab.
 //
 // There are no boundary barriers. The exchange is the synchronisation — a
 // worker finishes its last stage only after every peer has reached the
@@ -186,6 +194,7 @@ class ExchangeEngine {
                  FaultInjector* const* fault)
       : cfg_(&cfg), mesh_(&mesh), fault_(fault), waiter_(cfg, abort_flag) {
     pool_ = &pool;
+    self_arena_.bind(pool_);
     inbox_arena_.bind(pool_);
   }
 
@@ -197,7 +206,10 @@ class ExchangeEngine {
   /// drained stream has nothing to leak).
   void reset_for_reuse();
 
-  [[nodiscard]] MessageArena& inbox_arena() { return inbox_arena_; }
+  /// The boundary's delivered frames: the worker's messages to itself,
+  /// then every received stage in schedule order.
+  [[nodiscard]] const MessageArena& self_arena() const { return self_arena_; }
+  [[nodiscard]] const MessageArena& inbox_arena() const { return inbox_arena_; }
   [[nodiscard]] bool has_unflushed() const;
 
   /// Stages an n-byte frame for `dest` and returns its writable payload
@@ -244,7 +256,7 @@ class ExchangeEngine {
 
   /// Progress state of one stage of the schedule: an iovec cursor over the
   /// outgoing sections and a sectioned parse of the incoming stage (preamble
-  /// -> header block -> payloads straight into the inbox arena).
+  /// -> header block -> payloads into pack_in_ and the inbox arena).
   struct StageState {
     int k = 0;  // schedule stage, 1 .. p-1
     // Send side. send_pre lives here so its iovec entry stays valid for the
@@ -271,14 +283,16 @@ class ExchangeEngine {
   };
 
   /// Self-delivery + inbox reset at the top of a boundary (stage 0 of the
-  /// schedule: whole slabs splice over, no wire). On a shm mesh this also
-  /// advances the zero-copy epoch and publishes it to every peer.
+  /// schedule: the self-addressed outbox swaps with the drained self arena,
+  /// no wire). On a shm mesh this also advances the zero-copy epoch and
+  /// publishes it to every peer.
   void open_boundary(WorkerState& dst);
 
-  /// Builds the v2 stage sections for outbox[(pid + k) % p]: packs the
-  /// header block, points send_iov_ at preamble/headers/arena payload spans,
-  /// resets `ss` for stage k. The staging arena stays live until the last
-  /// byte is written (pump_send clears it).
+  /// Builds the v2 stage sections for outbox[(pid + k) % p]: writes the
+  /// header block, points send_iov_ at preamble/headers/payload spans (packed
+  /// inline runs, zero-copy out-of-line runs), resets `ss` for stage k. The
+  /// staging arena stays live until the last byte is written (pump_send
+  /// clears it).
   void begin_stage(StageState& ss, int k);
 
   /// Pumps one direction; returns bytes moved (0 on EAGAIN or a full/empty
@@ -315,7 +329,8 @@ class ExchangeEngine {
   ssize_t link_read(WorkerState& st, const StageState& ss, int src,
                     const iovec* iov, std::size_t cnt);
   /// Validates the fully received header block, appends its frames to the
-  /// inbox arena and builds recv_iov_; advances ss to Payload (or Done).
+  /// inbox arena and builds recv_iov_ (inline-sized runs into pack_in_,
+  /// larger payloads into their slots); advances ss to Payload (or Done).
   void parse_header_block(WorkerState& st, StageState& ss, int src);
   /// Consults the injector before a syscall at `site`. Returns the decision
   /// the pump loop must act on (nullopt = proceed normally); applies
@@ -370,12 +385,18 @@ class ExchangeEngine {
   int pid_ = 0;
   int nprocs_ = 0;
   std::vector<MessageArena> outbox_;  // per-destination staging
-  MessageArena inbox_arena_;          // received frames; views live here
+  // Delivered frames; views live here until the next open_boundary. The
+  // self arena swaps with outbox_[pid_] there, the inbox arena is cleared.
+  MessageArena self_arena_;
+  MessageArena inbox_arena_;
   // Reusable per-stage scratch (capacity persists across stages and runs).
-  std::vector<std::byte> hdr_out_;  // packed outgoing header block
-  std::vector<std::byte> hdr_in_;   // incoming header block, bulk-read
-  std::vector<iovec> send_iov_;     // preamble + hdr_out + payload spans
-  std::vector<iovec> recv_iov_;     // inbox-arena payload slots to fill
+  std::vector<WireFrameHeader> hdr_out_;  // outgoing header block
+  std::vector<std::byte> pack_out_;       // outgoing inline payloads, packed
+  std::vector<std::byte> hdr_in_;         // incoming header block, bulk-read
+  std::vector<std::byte> pack_in_;        // incoming inline payloads, packed
+  std::vector<iovec> send_iov_;  // preamble + hdr_out + payload spans
+  std::vector<iovec> recv_iov_;  // pack_in_ runs and out-of-line slots
+  std::vector<iovec> unpack_;    // inline slots of pack_in_'s payloads
   // Boundary window state (see begin_window).
   StageState split_ss_;
   bool split_done_ = false;
@@ -395,10 +416,10 @@ class ExchangeEngine {
   };
   std::vector<ZcAlloc> zc_alloc_;
   // Ordinals (append order) of staged descriptor frames, per destination;
-  // consumed by begin_stage when it packs the headers (pad = 1).
+  // consumed by begin_stage when it writes the headers (pad = 1).
   std::vector<std::vector<std::size_t>> zc_out_;
-  // Inbox-arena ordinals of received descriptor frames of this boundary,
-  // with their source rank; consumed by apply_zc_views.
+  // Inbox indices of received descriptor frames of this boundary, with
+  // their source rank; consumed by apply_zc_views.
   struct ZcIn {
     std::size_t ordinal;
     int src;

@@ -19,8 +19,9 @@
 // only the inbox *views*; the bytes behind them live in a transport-owned
 // arena for the destination worker and stay valid until that worker's next
 // sync(). Slabs recycle through the Runtime's SlabPool, which outlives the
-// per-run transport state — that is what keeps the deferred/eager steady
-// state allocation-free across supersteps and across run() calls.
+// per-run transport state — that, and arenas recycled in place within a
+// run, keeps every transport's steady state allocation-free across
+// supersteps and across run() calls.
 #pragma once
 
 #include <atomic>

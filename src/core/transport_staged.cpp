@@ -42,8 +42,10 @@ void StagedTransport::reset_run(
 
 void StagedTransport::publish(detail::WorkerState& dst) {
   detail::ExchangeEngine& e = engine_of(dst.pid);
-  dst.inbox.reserve(e.inbox_arena().message_count());
+  dst.inbox.reserve(e.self_arena().message_count() +
+                    e.inbox_arena().message_count());
   std::uint64_t recv_packets = 0;
+  append_views(dst, e.self_arena(), recv_packets);
   append_views(dst, e.inbox_arena(), recv_packets);
   // Zero-copy frames arrived as 16-byte slab descriptors; swap their views
   // (and their packet accounting) onto the shared mapping before the

@@ -63,7 +63,7 @@ class StagedTransport final : public detail::TransportBase {
     return to_string(cfg_.delivery);
   }
   [[nodiscard]] bool needs_boundary_barriers() const override { return false; }
-  [[nodiscard]] bool steady_state_zero_alloc() const override { return false; }
+  [[nodiscard]] bool steady_state_zero_alloc() const override { return true; }
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;
@@ -121,7 +121,7 @@ class StagedTransport final : public detail::TransportBase {
   [[nodiscard]] detail::ExchangeEngine& engine_of(int pid) const {
     return *eng_[hosts_every_rank_ ? static_cast<std::size_t>(pid) : 0];
   }
-  /// Builds dst.inbox views from the filled inbox arena.
+  /// Builds dst.inbox views from the engine's self and inbox arenas.
   void publish(detail::WorkerState& dst);
 
   std::unique_ptr<detail::Mesh> mesh_;

@@ -12,7 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <future>
@@ -95,6 +97,133 @@ inline void clean_runs_reuse_the_mesh(const RankConfig& cfg_of) {
     rt.run(ping(12));
     EXPECT_EQ(staged(rt).debug_mesh_builds(), 1u)
         << "clean runs must reuse the bootstrapped mesh";
+  });
+}
+
+/// How many ranks `rt` hosts: all of them on the socketpair mesh, one in
+/// process mode.
+inline int hosted_ranks(const Runtime& rt) {
+  return rt.config().delivery == DeliveryStrategy::Socket
+             ? rt.config().nprocs
+             : 1;
+}
+
+/// Sends `len` bytes of a payload that names its sender, destination and
+/// superstep and its index k in that superstep's sends to `dest`.
+inline void send_marked(Worker& w, int dest, int step, std::size_t k,
+                        std::size_t len) {
+  std::vector<std::uint8_t> buf(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 13 + w.pid() * 71 + dest * 29 +
+                                       step * 7 + k * 3);
+  }
+  w.send_bytes(dest, buf.data(), buf.size());
+}
+
+/// Checks one received payload of send_marked (8-byte alignment, then every
+/// byte) and throws a description of the first fault.
+inline void check_marked(const Message& m, int dest, int step, std::size_t k,
+                         std::size_t len) {
+  const std::string where = "message " + std::to_string(k) + " from " +
+                            std::to_string(m.source) + " in superstep " +
+                            std::to_string(step);
+  if (m.size() != len) {
+    throw std::logic_error("staged: " + where + " has " +
+                           std::to_string(m.size()) + " bytes, want " +
+                           std::to_string(len) + " (order lost?)");
+  }
+  if (reinterpret_cast<std::uintptr_t>(m.payload.data()) % 8 != 0) {
+    throw std::logic_error("staged: " + where + " is not 8-byte aligned");
+  }
+  const auto* got = reinterpret_cast<const std::uint8_t*>(m.payload.data());
+  for (std::size_t i = 0; i < len; ++i) {
+    if (got[i] != static_cast<std::uint8_t>(i * 13 + m.source * 71 +
+                                            dest * 29 + step * 7 + k * 3)) {
+      throw std::logic_error("staged: " + where + " corrupt at byte " +
+                             std::to_string(i));
+    }
+  }
+}
+
+/// One superstep of the rows below: every len of `lens` to every rank,
+/// itself included, interleaved over the destinations; then every received
+/// message is checked against its source's send order.
+inline void marked_superstep(Worker& w, int step,
+                             const std::vector<std::size_t>& lens) {
+  const int p = w.nprocs();
+  for (std::size_t k = 0; k < lens.size(); ++k) {
+    for (int d = 0; d < p; ++d) send_marked(w, d, step, k, lens[k]);
+  }
+  w.sync();
+  std::vector<std::size_t> next(static_cast<std::size_t>(p), 0);
+  while (const Message* m = w.get_message()) {
+    std::size_t& k = next[m->source];
+    if (k == lens.size()) {
+      throw std::logic_error("staged: surplus message from " +
+                             std::to_string(m->source));
+    }
+    check_marked(*m, w.pid(), step, k, lens[k]);
+    ++k;
+  }
+  for (int src = 0; src < p; ++src) {
+    if (next[static_cast<std::size_t>(src)] != lens.size()) {
+      throw std::logic_error("staged: lost messages from " +
+                             std::to_string(src));
+    }
+  }
+}
+
+/// Inline-sized payloads (at most MessageArena::kInlineCapacity bytes, so
+/// packed into runs on the wire) alternating with out-of-line ones, which
+/// split the runs; on shm the 4096 and 65536 B ones cross the slab, and
+/// their 16-byte descriptors join the packed runs instead.
+inline const std::vector<std::size_t> kMixedLens = {
+    0, 1, 16, 33, 31, 32, 4095, 1, 16, 4096, 31, 65536, 32};
+
+/// Packed payload runs keep every message intact, clean and under short
+/// I/O: the mixed payloads cross three supersteps, then cross them again
+/// under a counter-mode plan whose first 64 send and 64 receive calls per
+/// rank move at most 5 and 7 bytes. Those calls end in the payload block of
+/// the first stage, so they split its packed runs mid-payload on both ends.
+inline void mixed_payload_runs_survive_transit(const RankConfig& cfg_of) {
+  const auto program = [](Worker& w) {
+    for (int s = 0; s < 3; ++s) marked_superstep(w, s, kMixedLens);
+  };
+  on_runtimes(cfg_of(0).nprocs, cfg_of, [&](Runtime& rt) {
+    const RunStats clean = rt.run(program);
+    rt.set_fault_plan(parse_fault_plan(
+        "site=send,kind=short,arg=5,count=64;"
+        "site=recv,kind=short,arg=7,count=64"));
+    const RunStats faulted = rt.run(program);
+    EXPECT_EQ(rt.fault_injector()->fired(),
+              128u * static_cast<std::uint64_t>(hosted_ranks(rt)));
+    EXPECT_EQ(faulted.recoveries, 0u);
+    EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
+  });
+}
+
+/// A staged steady state allocates no slab: once warm, every superstep's
+/// outboxes, self arena and inbox arena recycle in place, and a second run()
+/// serves every arena from the first run's slabs. 16 B and 100 B payloads
+/// sit inline and out of line; 8 KiB and 64 KiB are out of line (on shm
+/// they cross the slab, and only self-sends stage them in an arena).
+inline void steady_state_makes_zero_allocations(const RankConfig& cfg_of) {
+  const std::vector<std::size_t> lens = {16, 100, 8192, 65536};
+  on_runtimes(cfg_of(0).nprocs, cfg_of, [&](Runtime& rt) {
+    std::atomic<std::uint64_t> warm{0};
+    rt.run([&](Worker& w) {
+      for (int s = 0; s < 4; ++s) marked_superstep(w, s, lens);
+      if (w.pid() == rt.config().rank) {
+        warm = rt.slab_pool().fresh_allocations();
+      }
+      for (int s = 4; s < 24; ++s) marked_superstep(w, s, lens);
+    });
+    EXPECT_EQ(rt.slab_pool().fresh_allocations(), warm.load());
+    rt.run([&](Worker& w) {
+      for (int s = 0; s < 24; ++s) marked_superstep(w, s, lens);
+    });
+    EXPECT_EQ(rt.slab_pool().fresh_allocations(), warm.load())
+        << "a second run() must reuse the first run's slabs";
   });
 }
 

@@ -40,7 +40,7 @@ struct Seen {
 std::vector<Seen> drain(const MessageArena& a, bool verify_payload = true) {
   std::vector<Seen> out;
   a.for_each_frame([&](const MessageArena::Frame& f) {
-    if (verify_payload) {
+    if (verify_payload && f.len != 0) {  // memcmp takes no null pointer
       const auto want =
           pattern(static_cast<std::size_t>(f.len),
                   static_cast<std::uint8_t>(f.seq));
@@ -189,8 +189,9 @@ TEST(MessageArena, PayloadSpanWalkCoversEveryByteInOrder) {
   append_pattern(a, 1, 2, 100);   // out-of-line
   append_pattern(a, 1, 3, 100);   // out-of-line, adjacent in the byte slab
   append_pattern(a, 1, 4, 8);     // inline again
+  std::vector<std::byte> pack;
   std::vector<std::byte> walked;
-  a.for_each_payload_span([&](const std::byte* p, std::size_t len) {
+  a.for_each_payload_span(pack, [&](const std::byte* p, std::size_t len) {
     walked.insert(walked.end(), p, p + len);
   });
   ASSERT_EQ(walked.size(), a.payload_bytes());
@@ -210,9 +211,10 @@ TEST(MessageArena, AdjacentOutOfLinePayloadsCoalesceIntoOneSpan) {
   // slab, not one iovec entry per message.
   MessageArena a;
   for (std::uint32_t i = 0; i < 40; ++i) append_pattern(a, 0, i, 64);
+  std::vector<std::byte> pack;
   std::size_t spans = 0;
   std::size_t bytes = 0;
-  a.for_each_payload_span([&](const std::byte*, std::size_t len) {
+  a.for_each_payload_span(pack, [&](const std::byte*, std::size_t len) {
     ++spans;
     bytes += len;
   });
@@ -222,23 +224,47 @@ TEST(MessageArena, AdjacentOutOfLinePayloadsCoalesceIntoOneSpan) {
   EXPECT_LT(spans, 40u);
 }
 
-TEST(MessageArena, InlinePayloadsEmitOneSpanEach) {
-  // Inline payloads are interleaved with frame metadata, so they can never
-  // coalesce; each non-empty one is its own span.
+TEST(MessageArena, InlinePayloadRunsPackIntoOneSpan) {
+  // Inline payloads are interleaved with frame metadata, so the walk copies
+  // each into the pack buffer: a run of them walks as one span of it, and
+  // an out-of-line payload only splits the run.
   MessageArena a;
   for (std::uint32_t i = 0; i < 10; ++i) append_pattern(a, 0, i, 16);
-  std::size_t spans = 0;
-  a.for_each_payload_span(
-      [&](const std::byte*, std::size_t) { ++spans; });
-  EXPECT_EQ(spans, 10u);
+  std::vector<std::byte> pack;
+  std::vector<std::pair<const std::byte*, std::size_t>> spans;
+  const auto walk = [&] {
+    spans.clear();
+    a.for_each_payload_span(pack, [&](const std::byte* p, std::size_t len) {
+      spans.emplace_back(p, len);
+    });
+  };
+  walk();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].first, pack.data());
+  EXPECT_EQ(spans[0].second, 160u);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(std::memcmp(pack.data() + 16 * i, pattern(16, i).data(), 16), 0)
+        << "payload " << i;
+  }
+  append_pattern(a, 0, 10, 100);  // out-of-line
+  append_pattern(a, 0, 11, 32);   // inline, at the threshold
+  append_pattern(a, 0, 12, 1);
+  walk();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].first, pack.data());
+  EXPECT_EQ(spans[0].second, 160u);
+  EXPECT_EQ(spans[1].second, 100u);
+  EXPECT_EQ(spans[2].first, pack.data() + 160);
+  EXPECT_EQ(spans[2].second, 33u);
 }
 
 TEST(MessageArena, EmptyArenaWalksNoSpans) {
   MessageArena a;
   a.append(0, 0, 0);
+  std::vector<std::byte> pack;
   std::size_t spans = 0;
   a.for_each_payload_span(
-      [&](const std::byte*, std::size_t) { ++spans; });
+      pack, [&](const std::byte*, std::size_t) { ++spans; });
   EXPECT_EQ(spans, 0u);
 }
 

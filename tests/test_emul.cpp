@@ -162,16 +162,21 @@ TEST(Emulator, CalibrationMapsOurWorkToPaperSeconds) {
 }
 
 TEST(Emulator, SerializedExecutionWorkExcludesPeers) {
-  // Under the serialized scheduler, each worker's measured work must be its
-  // own compute only — the total work of a P-processor run of a fixed-size
-  // spin should be ~P times the per-worker slice, and W ~ the slice.
-  const int iters = 400000;
-  RunStats s1 = execute_traced(1, make_program(1, iters, 0));
-  RunStats s4 = execute_traced(4, make_program(1, iters, 0));
-  const double w1 = s1.W_s();
-  // Each of the 4 workers does the same spin, so W (max) ~ w1 and total ~ 4x.
-  EXPECT_NEAR(s4.W_s(), w1, w1 * 0.8);
-  EXPECT_NEAR(s4.total_work_s(), 4 * w1, 4 * w1 * 0.8);
+  // Under the serialized scheduler each worker's measured work must be its
+  // own compute only, never the time it waited for the baton while its
+  // peers ran. One run, so that host load moves every slice alike: worker k
+  // spins k + 1 slices, so W (the max) is worker 3's 4 slices and the total
+  // is 10 of worker 0's. A worker charged with its wait would also carry
+  // the slices of the workers ahead of it: worker 3 would read 10.
+  const int slice = 400000;
+  RunStats s = execute_traced(4, [](Worker& w) {
+    volatile double sink = 0;
+    for (int i = 0; i < (w.pid() + 1) * slice; ++i) sink = sink + 1.0;
+    w.sync();
+  });
+  const double w0 = s.traces[0][0].work_us * 1e-6;
+  EXPECT_NEAR(s.W_s(), 4 * w0, 4 * w0 * 0.8);
+  EXPECT_NEAR(s.total_work_s(), 10 * w0, 10 * w0 * 0.8);
 }
 
 }  // namespace

@@ -427,6 +427,19 @@ TEST(ShmRuntime, CleanRunsReuseTheMesh) {
       [&name](int r) { return rank_cfg(r, 2, name); });
 }
 
+TEST(ShmRuntime, MixedPayloadRunsSurviveTransit) {
+  // Zero-copy descriptors join the packed runs here.
+  const std::string name = seg_name(24);
+  staged_rows::mixed_payload_runs_survive_transit(
+      [&name](int r) { return rank_cfg(r, 3, name); });
+}
+
+TEST(ShmRuntime, SteadyStateMakesZeroAllocations) {
+  const std::string name = seg_name(25);
+  staged_rows::steady_state_makes_zero_allocations(
+      [&name](int r) { return rank_cfg(r, 3, name); });
+}
+
 TEST(ShmRuntime, LargeFramesCrossTheSlab) {
   // 3 MiB each way: far beyond the ring, routed through the zero-copy slab
   // (default 8 MiB halves to 4 MiB epochs), delivered as views into the

@@ -285,6 +285,17 @@ TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
       [](int) { return socket_config(2); });
 }
 
+TEST(SocketWireBytes, MixedPayloadRunsSurviveTransit) {
+  // The socketpair row of the shared packed-run property (staged_rows.hpp).
+  staged_rows::mixed_payload_runs_survive_transit(
+      [](int) { return socket_config(3); });
+}
+
+TEST(SocketLifecycle, SteadyStateMakesZeroAllocations) {
+  staged_rows::steady_state_makes_zero_allocations(
+      [](int) { return socket_config(3); });
+}
+
 TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   // A run that unwinds mid-stage may strand half-written stage bytes in
   // kernel buffers; the next run must get fresh sockets, and runs after
@@ -473,7 +484,7 @@ TEST(SocketTransportCapabilities, DeclaresItsContract) {
   Runtime rt(socket_config(2));
   EXPECT_STREQ(rt.transport().name(), "socket");
   EXPECT_FALSE(rt.transport().needs_boundary_barriers());
-  EXPECT_FALSE(rt.transport().steady_state_zero_alloc());
+  EXPECT_TRUE(rt.transport().steady_state_zero_alloc());
 }
 
 }  // namespace

@@ -283,6 +283,18 @@ TEST(TcpRuntime, CleanRunsReuseTheMesh) {
       [base](int r) { return rank_cfg(r, 2, base); });
 }
 
+TEST(TcpRuntime, MixedPayloadRunsSurviveTransit) {
+  const int base = port_base(18);
+  staged_rows::mixed_payload_runs_survive_transit(
+      [base](int r) { return rank_cfg(r, 3, base); });
+}
+
+TEST(TcpRuntime, SteadyStateMakesZeroAllocations) {
+  const int base = port_base(19);
+  staged_rows::steady_state_makes_zero_allocations(
+      [base](int r) { return rank_cfg(r, 3, base); });
+}
+
 TEST(TcpRuntime, LargeFramesCrossTheMesh) {
   // Payloads far beyond the kernel's default socket buffers force the
   // partial-I/O resume paths and the grow-only buffer autotuning.
