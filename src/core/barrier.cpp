@@ -2,23 +2,19 @@
 
 #include <sched.h>
 
-#include <chrono>
 #include <thread>
 
 namespace gbsp {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // A peer on its own CPU usually arrives within a few microseconds. Keep the
 // pause phase that short: fresh workers often share a CPU until the
 // scheduler spreads them, and a long pause-spin then burns the core the
-// last arriver needs, parks anyway, and pays the futex wake on top.
+// last arriver needs, parks anyway, and pays the wake-up on top. On fewer
+// CPUs than participants the peer is often queued behind the waiter on its
+// own CPU, so there the schedule skips the pause and yields at once.
 constexpr auto kPauseSpin = std::chrono::microseconds(2);
-// Yield phase before parking: on a CPU per worker a yield returns at once,
-// so it is a spin that stays responsive for up to this long; on fewer CPUs
-// each yield hands the CPU to a runnable peer, and a few rounds suffice.
 constexpr auto kYieldFor = std::chrono::milliseconds(1);
 constexpr int kYieldsWhenShared = 64;
 
@@ -30,21 +26,38 @@ inline void cpu_pause() {
 #endif
 }
 
-bool has_cpu_per_worker(int nprocs) {
+bool has_cpu_per_participant(int participants) {
   cpu_set_t set;
   CPU_ZERO(&set);
   const int cpus = sched_getaffinity(0, sizeof(set), &set) == 0
                        ? CPU_COUNT(&set)
                        : static_cast<int>(std::thread::hardware_concurrency());
-  return cpus >= nprocs;
+  return cpus >= participants;
 }
 
 }  // namespace
 
+SpinSchedule::SpinSchedule(int participants)
+    : cpu_per_participant_(has_cpu_per_participant(participants)) {}
+
+bool SpinSchedule::turn(Wait& w) const {
+  if (cpu_per_participant_) {
+    const auto waited = std::chrono::steady_clock::now() - w.start;
+    if (waited < kPauseSpin) {
+      cpu_pause();
+      return true;
+    }
+    if (waited >= kYieldFor) return false;
+  } else if (w.yields >= kYieldsWhenShared) {
+    return false;
+  }
+  ++w.yields;
+  std::this_thread::yield();
+  return true;
+}
+
 Barrier::Barrier(int nprocs, const std::atomic<bool>* abort_flag)
-    : nprocs_(nprocs),
-      abort_(abort_flag),
-      cpu_per_worker_(has_cpu_per_worker(nprocs)) {}
+    : nprocs_(nprocs), abort_(abort_flag), spin_(nprocs) {}
 
 void Barrier::advance() {
   // A sequentially consistent increment: notify_all skips the futex wake
@@ -69,18 +82,12 @@ void Barrier::arrive_and_wait(int /*pid*/) {
     advance();
     return;
   }
-  const auto waiting = [this, gen] {
-    return generation_.load(std::memory_order_acquire) == gen;
-  };
-  const Clock::time_point start = Clock::now();
-  while (waiting() && Clock::now() - start < kPauseSpin) cpu_pause();
-  for (int yields = 0; waiting(); ++yields) {
-    if (cpu_per_worker_ ? Clock::now() - start >= kYieldFor
-                        : yields >= kYieldsWhenShared) {
+  SpinSchedule::Wait wait;
+  while (generation_.load(std::memory_order_acquire) == gen) {
+    if (!spin_.turn(wait)) {
       generation_.wait(gen, std::memory_order_acquire);
       break;
     }
-    std::this_thread::yield();
   }
   throw_if_aborted();
 }

@@ -1,11 +1,11 @@
-// The superstep barrier of the in-memory transports.
+// The superstep barrier of the in-memory transports, and the one spin
+// schedule every blocking wait of the runtime runs before it parks.
 //
 // One central barrier on a generation word, crossed once per superstep (the
-// paper's Appendix B.1 spin-flag synchronisation). A waiter pause-spins for a
-// few microseconds, then yields, then parks on the word with
-// std::atomic::wait (a futex in libstdc++). How long it yields before it
-// parks is derived from the host: the CPUs the creating thread may run on
-// (sched_getaffinity), against the number of participants.
+// paper's Appendix B.1 spin-flag synchronisation). A waiter runs the spin
+// schedule below, then parks on the word with std::atomic::wait (a futex in
+// libstdc++). The staged exchange's idle wait (detail::Waiter,
+// core/exchange_engine.hpp) runs the same schedule and parks in poll().
 //
 // The barrier is abort-aware: a worker that fails raises the shared abort
 // flag and then calls wake_on_abort(), and every other worker, instead of
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -25,6 +26,33 @@ namespace gbsp {
 /// Internal control flow: the runtime catches it and unwinds the worker.
 struct BspAborted : std::runtime_error {
   BspAborted() : std::runtime_error("BSP computation aborted by a peer") {}
+};
+
+/// The spin schedule of a wait, chosen by whether the affinity mask of the
+/// thread that built the schedule holds a CPU per participant. With one, a
+/// wait pause-spins for 2 us, then yields for up to 1 ms, then parks: a
+/// yield returns at once there, so the yield phase is a spin that stays
+/// responsive. With fewer CPUs, a wait yields 64 times, then parks: each
+/// yield hands the CPU to a runnable peer, a few rounds suffice, and a pause
+/// would only hold the CPU that peer needs.
+class SpinSchedule {
+ public:
+  /// One wait's place in the schedule; a fresh Wait starts the clock.
+  struct Wait {
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    int yields = 0;
+  };
+
+  /// Reads the calling thread's affinity mask against `participants`.
+  explicit SpinSchedule(int participants);
+
+  /// One turn of `w`: pauses or yields and returns true while the schedule
+  /// lasts; returns false, at once, when the waiter should park.
+  bool turn(Wait& w) const;
+
+ private:
+  bool cpu_per_participant_;
 };
 
 /// Barrier for a fixed set of `nprocs` participants, reusable across
@@ -48,10 +76,7 @@ class Barrier {
 
   const int nprocs_;
   const std::atomic<bool>* const abort_;
-  // True when the creating thread's affinity mask holds a CPU for every
-  // participant: a waiter then yields for up to a millisecond before it
-  // parks, otherwise for a few yields only.
-  const bool cpu_per_worker_;
+  const SpinSchedule spin_;
   alignas(64) std::atomic<int> count_{0};
   alignas(64) std::atomic<std::uint32_t> generation_{0};
 };

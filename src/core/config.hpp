@@ -99,26 +99,14 @@ struct Config {
   /// packets per lock acquisition).
   std::size_t eager_chunk_messages = 1000;
 
-  /// Socket transport: a staged-exchange stage that makes no progress (no
-  /// byte sent or received) for this long aborts the run with
-  /// BspTransportError instead of hanging on a dead or wedged peer.
+  /// Staged transports (socket, tcp, shm): a stage that makes no progress
+  /// (no byte sent or received) for this long aborts the run with
+  /// BspTransportError instead of hanging on a dead or wedged peer. It is
+  /// the one knob of the idle wait: a wait spins on the barrier's schedule,
+  /// then parks until a peer, a doorbell or an abort wakes it, or until
+  /// this timeout. The whole waiting policy is documented once, at
+  /// detail::Waiter (core/exchange_engine.hpp).
   std::size_t socket_stage_timeout_ms = 10'000;
-
-  /// Staged transports: the idle-wait backoff. Past the spin budget an idle
-  /// stage polls its fds for the initial wait, doubling up to the cap; shm
-  /// rings nap from 50 us up to the same cap. Shorter waits detect aborts
-  /// faster; longer waits burn less CPU while a slow peer computes. The
-  /// whole waiting policy is documented once, at detail::Waiter
-  /// (core/exchange_engine.hpp).
-  std::size_t socket_backoff_initial_ms = 1;
-  std::size_t socket_backoff_max_ms = 50;
-
-  /// Staged transports: the spin budget. After a round of pumps moves
-  /// nothing, the worker keeps re-pumping (yielding the CPU in between, so
-  /// an oversubscribed host hands the core to the peer) for this long since
-  /// the last progress — 64x this on shm rings — before it polls or naps
-  /// with the backoff above (detail::Waiter). 0 disables the spin phase.
-  std::size_t socket_spin_us = 50;
 
   /// Socket transport: upper bound on a single message's payload on the
   /// wire. Outgoing messages above it are rejected at send time; incoming
@@ -252,24 +240,6 @@ inline void validate_config(const Config& cfg) {
     throw std::invalid_argument(
         "gbsp: socket_stage_timeout_ms must be in [1, 3600000], got " +
         std::to_string(cfg.socket_stage_timeout_ms));
-  }
-  if (cfg.socket_backoff_initial_ms == 0 ||
-      cfg.socket_backoff_initial_ms > cfg.socket_backoff_max_ms) {
-    throw std::invalid_argument(
-        "gbsp: socket_backoff_initial_ms must be in [1, "
-        "socket_backoff_max_ms]");
-  }
-  if (cfg.socket_backoff_max_ms > cfg.socket_stage_timeout_ms) {
-    throw std::invalid_argument(
-        "gbsp: socket_backoff_max_ms must not exceed socket_stage_timeout_ms "
-        "(an idle wait longer than the timeout could overshoot it)");
-  }
-  constexpr std::size_t kMaxSpinUs = 1'000'000;  // one second
-  if (cfg.socket_spin_us > kMaxSpinUs) {
-    throw std::invalid_argument(
-        "gbsp: socket_spin_us must be <= 1000000 (spinning longer than a "
-        "second burns the core the peer needs), got " +
-        std::to_string(cfg.socket_spin_us));
   }
   if (cfg.socket_max_frame_bytes == 0) {
     throw std::invalid_argument(

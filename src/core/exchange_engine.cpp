@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -74,8 +73,6 @@ void ExchangeEngine::attach(int pid, int nprocs) {
   zc_alloc_.assign(static_cast<std::size_t>(nprocs), ZcAlloc{});
   zc_out_.assign(static_cast<std::size_t>(nprocs), {});
   zc_in_.clear();
-  // A Serialized exchange waits on every hosted rank's window at once.
-  waiter_.reserve(static_cast<std::size_t>(nprocs));
 }
 
 void ExchangeEngine::reset_for_reuse() {
@@ -332,10 +329,10 @@ ssize_t ExchangeEngine::link_write(WorkerState& st, const StageState& ss,
   const Link& l = links_[static_cast<std::size_t>(peer)];
   if (l.ring != nullptr) {
     // The same sectioned iovec list streams into the pair's SPSC ring with
-    // plain memcpy; a full ring is the EAGAIN analogue. No syscall happens,
-    // so wire_syscalls stays untouched — that IS the shm headline metric.
-    return static_cast<ssize_t>(shm_ring_write(
-        l.ring->send, iov, cnt, std::numeric_limits<std::size_t>::max()));
+    // plain memcpy; a full ring is the EAGAIN analogue. No data-path syscall
+    // happens, so wire_syscalls stays untouched — that IS the shm headline
+    // metric; a doorbell to a parked reader is a wait's cost, not the wire's.
+    return static_cast<ssize_t>(shm_ring_write(l.ring->send, iov, cnt, l.fd));
   }
   msghdr mh{};
   mh.msg_iov = const_cast<iovec*>(iov);
@@ -361,9 +358,9 @@ ssize_t ExchangeEngine::link_read(WorkerState& st, const StageState& ss,
   if (l.ring != nullptr) {
     // Drain the pair's SPSC ring with plain memcpy; an empty ring is the
     // EAGAIN analogue (peer death surfaces on the idle path via the control
-    // channel, not here). No syscall, no wire_syscalls.
-    return static_cast<ssize_t>(shm_ring_read_iov(
-        l.ring->recv, iov, cnt, std::numeric_limits<std::size_t>::max()));
+    // channel, not here). No data-path syscall, no wire_syscalls.
+    return static_cast<ssize_t>(
+        shm_ring_read_iov(l.ring->recv, iov, cnt, l.fd));
   }
   const ssize_t n = ::readv(l.fd, iov, static_cast<int>(cnt));
   if (n > 0) {
@@ -636,42 +633,57 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
   return moved;
 }
 
-int ExchangeEngine::closed_peer(WorkerState& st) {
+bool ExchangeEngine::add_park_fds(std::vector<pollfd>& fds) {
   const StageState& ss = split_ss_;
-  for (const int peer : {ss.send_done ? -1 : send_peer(ss),
-                         ss.recv_done ? -1 : recv_peer(ss)}) {
-    if (peer < 0) continue;
-    const int fd = links_[static_cast<std::size_t>(peer)].fd;
-    if (fd < 0) continue;
-    char b;
-    const ssize_t r = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-    // EOF on the bootstrap control stream: the peer process exited (or its
-    // endpoints were killed).
-    if (r == 0) return peer;
-    if (r > 0) {
-      // Nothing is ever sent on the control stream after bootstrap.
-      idle_failure(st,
-                   "unexpected bytes on the shm control channel (stream "
-                   "corruption?)",
-                   peer, 0);
+  bool moved = false;
+  for (const bool send : {true, false}) {
+    if (send ? ss.send_done : ss.recv_done) continue;
+    const Link& l =
+        links_[static_cast<std::size_t>(send ? send_peer(ss) : recv_peer(ss))];
+    fds.push_back({l.fd, static_cast<short>(send && !l.ring ? POLLOUT : POLLIN),
+                   0});
+    if (l.ring == nullptr) continue;
+    // The flag goes up before the cursors are re-checked, all sequentially
+    // consistent: the parker's half of the handshake whose other half is
+    // the ring function's cursor store, then flag load.
+    ShmRingCtl& c = send ? *l.ring->send.ctl : *l.ring->recv.ctl;
+    (send ? c.writer_parked : c.reader_parked).store(1);
+    const std::uint64_t used = c.tail.load() - c.head.load();
+    moved = (send ? used < l.ring->send.ring_cap : used != 0) || moved;
+  }
+  return moved;
+}
+
+bool ExchangeEngine::end_park(WorkerState& st) {
+  const StageState& ss = split_ss_;
+  int closed = -1;
+  for (const bool send : {true, false}) {
+    if (send ? ss.send_done : ss.recv_done) continue;
+    const int peer = send ? send_peer(ss) : recv_peer(ss);
+    const Link& l = links_[static_cast<std::size_t>(peer)];
+    if (l.ring == nullptr) continue;
+    (send ? l.ring->send.ctl->writer_parked : l.ring->recv.ctl->reader_parked)
+        .store(0, std::memory_order_relaxed);
+    char bells[64];
+    ssize_t r;
+    while ((r = ::recv(l.fd, bells, sizeof(bells), MSG_DONTWAIT)) > 0 ||
+           (r < 0 && errno == EINTR)) {
     }
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    // EOF: the peer exited, or its endpoints were killed. A peer that exits
+    // with doorbells of ours unread resets the stream instead.
+    if (r == 0 || errno == ECONNRESET) {
+      if (closed < 0) closed = peer;
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
       idle_failure(st, "shm control channel failed", peer, errno);
     }
   }
-  return -1;
-}
-
-void ExchangeEngine::add_poll_fds(std::vector<pollfd>& fds) const {
-  const StageState& ss = split_ss_;
-  if (!ss.send_done) {
-    fds.push_back({links_[static_cast<std::size_t>(send_peer(ss))].fd,
-                   POLLOUT, 0});
+  // EOF alone is not a death: a peer may finish its last stage and tear
+  // down before this rank drained the ring.
+  if (closed >= 0 && pump_window(st) == 0 && !window_done()) {
+    idle_failure(st, "peer closed its endpoint mid-stage (peer death)",
+                 closed, 0);
   }
-  if (!ss.recv_done) {
-    fds.push_back({links_[static_cast<std::size_t>(recv_peer(ss))].fd,
-                   POLLIN, 0});
-  }
+  return closed >= 0;
 }
 
 void ExchangeEngine::idle_failure(const WorkerState& st,
@@ -738,76 +750,51 @@ void ExchangeEngine::finish_windows(std::span<const Window> ws) {
   }
 }
 
-void Waiter::progressed() {
-  last_progress_ = std::chrono::steady_clock::now();
-  backoff_us_ = 0;
-}
-
 void Waiter::step(std::span<const Window> ws) {
   if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
     throw BspAborted{};
   }
-  // The first window in flight names a timeout or a failed poll. One mesh
-  // is one medium, so it also tells rings from fds.
+  if (cfg_->scheduling == Scheduling::Parallel && spin_.turn(wait_)) return;
+  // Park. The first window in flight names a timeout or a failed poll.
   const Window& first =
       *std::find_if(ws.begin(), ws.end(),
                     [](const Window& w) { return !w.eng->window_done(); });
   const ExchangeEngine& fe = *first.eng;
-  const WorkerState& fst = *first.st;
-  const bool rings = fe.on_rings();
-  const auto idle = std::chrono::steady_clock::now() - last_progress_;
-  if (idle > std::chrono::milliseconds(cfg_->socket_stage_timeout_ms)) {
-    fe.idle_failure(fst,
+  const std::chrono::milliseconds limit(cfg_->socket_stage_timeout_ms);
+  const auto idle = std::chrono::steady_clock::now() - wait_.start;
+  if (idle >= limit) {
+    fe.idle_failure(*first.st,
                     "stage made no progress for " +
                         std::to_string(cfg_->socket_stage_timeout_ms) +
                         " ms (peer dead or wedged)",
                     fe.recv_peer(fe.split_ss_), 0);
   }
-  if (idle < std::chrono::microseconds(rings ? cfg_->socket_spin_us * 64
-                                             : cfg_->socket_spin_us)) {
-    std::this_thread::yield();
-    return;
-  }
+  // An injected EINTR/EAGAIN, like a ring that moved before its flag went
+  // up, skips the poll; finish_windows re-pumps and parks again.
   bool skip = false;
+  fds_.assign(1, pollfd{abort_fd_, POLLIN, 0});
   for (const Window& w : ws) {
     ExchangeEngine& e = *w.eng;
     if (e.window_done()) continue;
-    if (const int dead = rings ? e.closed_peer(*w.st) : -1; dead >= 0) {
-      if (e.pump_window(*w.st) != 0 || e.window_done()) {
-        progressed();
-        return;
-      }
-      e.idle_failure(*w.st, "peer closed its endpoint mid-stage (peer death)",
-                     dead, 0);
-    }
-    // Eintr/Eagain skip this wait; finish_windows re-pumps and waits again
-    // with the next backoff step.
     skip = e.syscall_fault(*w.st, e.split_ss_, FaultSite::PollCall,
                            e.recv_peer(e.split_ss_), 0)
                .has_value() ||
            skip;
+    skip = e.add_park_fds(fds_) || skip;
   }
-  constexpr std::size_t kShmNapInitialUs = 50;
-  const std::size_t wait_us =
-      backoff_us_ != 0 ? backoff_us_
-      : rings          ? kShmNapInitialUs
-                       : cfg_->socket_backoff_initial_ms * 1000;
-  backoff_us_ = std::min(wait_us * 2, cfg_->socket_backoff_max_ms * 1000);
-  if (skip) return;
-  if (rings) {
-    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
-    return;
-  }
-  fds_.clear();
-  for (const Window& w : ws) w.eng->add_poll_fds(fds_);
-  if (::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
-             static_cast<int>(wait_us / 1000)) < 0 &&
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(limit - idle);
+  if (!skip &&
+      ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
+             static_cast<int>(left.count())) < 0 &&
       errno != EINTR) {
     // A real poll failure (EBADF after an injected hangup, ENOMEM) must be
     // diagnosed, not spun on: retrying would busy-loop until the stage
     // timeout with no chance of progress.
-    fe.idle_failure(fst, "poll on stage sockets failed",
+    fe.idle_failure(*first.st, "poll on stage sockets failed",
                     fe.recv_peer(fe.split_ss_), errno);
+  }
+  for (const Window& w : ws) {
+    if (!w.eng->window_done() && w.eng->end_park(*w.st)) progressed();
   }
 }
 

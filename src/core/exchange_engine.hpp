@@ -52,14 +52,15 @@
 // (core/shm_ring.hpp) on the same iovec cursors — the one sectioned state
 // machine, validation, fault clamps, and split-phase windows run unchanged
 // over either medium, a full ring is the EAGAIN analogue, and nothing on
-// the steady-state data path enters the kernel (wire_syscalls reads 0; the
-// Waiter naps and peeks the mesh's control streams instead of polling).
-// Payloads >= Config::shm_inline_threshold additionally go
-// zero-copy: reserve() hands the sender a slot inside the pair's shared
-// slab, a 16-byte ShmZcDesc travels the ring in the payload's place (wire
-// header pad == 1), and apply_zc_views() re-points the receiver's inbox
-// views at the mapping itself. Slab halves recycle on alternating boundary
-// epochs, fenced by the consumer-published boundaries_opened counter.
+// the steady-state data path enters the kernel (wire_syscalls reads 0; a
+// parked Waiter polls the mesh's control streams, on which a peer that moves
+// a ring's cursor rings a doorbell). Payloads >= Config::shm_inline_threshold
+// additionally go zero-copy: reserve() hands the sender a slot inside the
+// pair's shared slab, a 16-byte ShmZcDesc travels the ring in the payload's
+// place (wire header pad == 1), and apply_zc_views() re-points the
+// receiver's inbox views at the mapping itself. Slab halves recycle on
+// alternating boundary epochs, fenced by the consumer-published
+// boundaries_opened counter.
 //
 // Robustness: both directions of a stage are pumped through non-blocking
 // partial read/write loops (EINTR retried), so a full-duplex stage never
@@ -68,10 +69,10 @@
 // BspTransportError; incoming frame headers are validated (pad must be 0,
 // len capped by Config::socket_max_frame_bytes, sections must agree) so a
 // corrupt stream is diagnosed instead of sizing an arena append from
-// garbage. The runtime's abort flag is polled on every idle wait, so a peer
-// that dies mid-superstep unwinds the survivors within one backoff period.
-// Every syscall consults the fault injector (when installed) first — the
-// deterministic fault matrix drives this engine identically over either
+// garbage. Every idle wait checks the runtime's abort flag, and an abort
+// wakes every parked wait, so a failure elsewhere unwinds the survivors at
+// once. Every syscall consults the fault injector (when installed) first —
+// the deterministic fault matrix drives this engine identically over either
 // mesh.
 #pragma once
 
@@ -88,6 +89,7 @@
 #include <vector>
 
 #include "core/arena.hpp"
+#include "core/barrier.hpp"
 #include "core/config.hpp"
 #include "core/fault.hpp"
 #include "core/mesh.hpp"
@@ -133,53 +135,59 @@ struct Window {
 /// a whole round moved none. The waiting policy, all of it:
 ///
 ///  * Abort. Every step checks the runtime's abort flag and unwinds with
-///    BspAborted, so a failure elsewhere frees a waiting worker within one
-///    wait.
-///  * Timeout. A step idle for longer than Config::socket_stage_timeout_ms
+///    BspAborted.
+///  * Spin. A Parallel wait runs the Barrier's spin schedule (SpinSchedule,
+///    core/barrier.hpp) from the last progress, counting Config::nprocs
+///    participants, since in every mode the ranks share this host's CPUs:
+///    each step pauses or yields once, and the windows are re-pumped at
+///    once. A Serialized exchange parks without spinning: its one thread
+///    drives every window, so nothing can move while it spins.
+///  * Timeout. Past the spin, a step idle for Config::socket_stage_timeout_ms
 ///    since the last progress throws BspTransportError ("stage made no
 ///    progress"), naming the first window still in flight.
-///  * Spin. For Config::socket_spin_us after the last progress (64x that
-///    when the in-flight stage runs over shm rings) a step only yields the
-///    core, and the windows are re-pumped at once: a peer in the same
-///    boundary is typically microseconds away, and on an oversubscribed host
-///    the yield hands the core to it. 0 disables the spin.
-///  * Poll (fd links). Past the spin budget a step polls the in-flight stage
-///    fds of every window — POLLOUT toward an unfinished send, POLLIN from an
-///    unfinished receive — for Config::socket_backoff_initial_ms, doubling
-///    on each idle step up to Config::socket_backoff_max_ms.
-///  * Probe and nap (ring links). A ring cannot be polled. Past the spin
-///    budget a step first peeks the control stream of each in-flight ring
-///    peer for EOF, the one failure the memory data path cannot see, then
-///    sleeps 50 us, doubling up to socket_backoff_max_ms. The nap is blind —
-///    its full length is paid even if the ring fills at once — hence
-///    microseconds (DESIGN section 15). EOF alone is not a death: a peer that
-///    wrote its whole last stage may finish and tear down between the empty
-///    pump and the probe, so the window is pumped once more and the death is
+///  * Fault site. Every window in flight then consults the PollCall site: an
+///    injected EINTR/EAGAIN skips this park, a delay stalls it, an abort
+///    throws.
+///  * Park. One poll() that only an event ends, for at most the time left
+///    before the timeout. It holds the transport's abort eventfd, which the
+///    runtime signals on every abort, and per window in flight: on fd links
+///    the stage fds (POLLOUT toward an unfinished send, POLLIN from an
+///    unfinished receive); on ring links the control streams of the stage's
+///    peers. Before it polls a ring window raises this rank's parked flags
+///    (reader_parked on the ring it reads, writer_parked on the ring it
+///    writes) and re-checks the rings' cursors directly, not through a pump
+///    the fault injector could stall; a moved cursor skips the poll. A peer
+///    that moves a cursor under a raised flag clears it and rings a one-byte
+///    doorbell on the control stream (core/shm_ring.hpp).
+///  * Wake (ring links). After the poll the flags are lowered and the
+///    doorbell bytes drained. EOF there alone is not a death: a peer that
+///    wrote its whole last stage may finish and tear down before this rank
+///    drained the ring, so the window is pumped once more, and the death is
 ///    reported only if that pump moved nothing.
-///  * Fault site. Before each poll or nap every window in flight consults
-///    the PollCall site: an injected EINTR/EAGAIN skips that wait (the
-///    backoff still doubles), a delay stalls it, an abort throws.
 ///
-/// Progress restarts the idle clock and the backoff. Only idle steps enter
-/// the kernel, so a busy exchange makes no calls beyond its data path, and
-/// none at all on rings.
+/// Progress restarts the idle clock and the spin. Only a park enters the
+/// kernel, so a busy exchange makes no calls beyond its data path, and none
+/// at all on rings.
 class Waiter {
  public:
-  Waiter(const Config& cfg, const std::atomic<bool>* abort_flag)
-      : cfg_(&cfg), abort_(abort_flag) {}
+  /// `abort_fd` is the eventfd the transport signals on abort. The poll set
+  /// has room for every hosted window, so no wait allocates.
+  Waiter(const Config& cfg, const std::atomic<bool>* abort_flag, int abort_fd)
+      : cfg_(&cfg), abort_(abort_flag), abort_fd_(abort_fd), spin_(cfg.nprocs) {
+    fds_.reserve(2 * static_cast<std::size_t>(cfg.nprocs) + 1);
+  }
 
-  /// Room for the fds of `windows` windows, so no wait allocates.
-  void reserve(std::size_t windows) { fds_.reserve(2 * windows); }
-  /// A round of pumps moved bytes: restarts the idle clock and the backoff.
-  void progressed();
+  /// A round of pumps moved bytes: restarts the idle clock and the spin.
+  void progressed() { wait_ = {}; }
   /// One idle wait over `ws`, of which at least one is still in flight.
   void step(std::span<const Window> ws);
 
  private:
   const Config* cfg_;
   const std::atomic<bool>* abort_;
-  std::chrono::steady_clock::time_point last_progress_;
-  std::size_t backoff_us_ = 0;  // the next poll or nap; 0 = the first one
+  int abort_fd_;
+  SpinSchedule spin_;
+  SpinSchedule::Wait wait_;
   std::vector<pollfd> fds_;
 };
 
@@ -188,11 +196,15 @@ class ExchangeEngine {
  public:
   /// `fault` is a handle to the owning transport's injector pointer (the
   /// injector can be swapped between runs without re-plumbing the engine);
-  /// `abort_flag` is the runtime's shared abort flag, checked on idle waits.
+  /// `abort_flag` is the runtime's shared abort flag, checked on idle waits,
+  /// and `abort_fd` the eventfd that wakes a parked wait on abort.
   ExchangeEngine(const Config& cfg, SlabPool& pool, Mesh& mesh,
-                 const std::atomic<bool>* abort_flag,
+                 const std::atomic<bool>* abort_flag, int abort_fd,
                  FaultInjector* const* fault)
-      : cfg_(&cfg), mesh_(&mesh), fault_(fault), waiter_(cfg, abort_flag) {
+      : cfg_(&cfg),
+        mesh_(&mesh),
+        fault_(fault),
+        waiter_(cfg, abort_flag, abort_fd) {
     pool_ = &pool;
     self_arena_.bind(pool_);
     inbox_arena_.bind(pool_);
@@ -315,7 +327,8 @@ class ExchangeEngine {
 
   /// One pair's data path, chosen at attach(): the mesh's shared-memory
   /// rings when it has them, else the stream fd. On a ring link `fd` is the
-  /// bootstrap control stream, whose only post-bootstrap traffic is EOF.
+  /// bootstrap control stream, whose only post-bootstrap traffic is
+  /// doorbells and EOF.
   struct Link {
     int fd = -1;
     ShmPairView* ring = nullptr;
@@ -346,20 +359,19 @@ class ExchangeEngine {
   void maybe_corrupt(WorkerState& st, const StageState& ss, int src,
                      std::byte* buf, std::size_t n);
 
-  // --- The window in flight, as the Waiter sees it.
-  /// True when the in-flight stage runs over ring links.
-  [[nodiscard]] bool on_rings() const {
-    return links_[static_cast<std::size_t>(recv_peer(split_ss_))].ring !=
-           nullptr;
-  }
-  /// Ring links only: one non-consuming, non-blocking peek of the control
-  /// stream of each peer of the in-flight stage. Returns the first peer at
-  /// EOF (it exited, or was kill_endpoints'd), else -1. Throws on stray
-  /// bytes or a failed peek.
-  int closed_peer(WorkerState& st);
-  /// Appends the in-flight stage's fds to `fds` (POLLOUT toward an
-  /// unfinished send, POLLIN from an unfinished receive).
-  void add_poll_fds(std::vector<pollfd>& fds) const;
+  // --- The window in flight, as the Waiter's park sees it.
+  /// Appends the in-flight stage's fds to `fds`: on fd links POLLOUT toward
+  /// an unfinished send and POLLIN from an unfinished receive; on ring links
+  /// POLLIN on both peers' control streams, after raising this rank's
+  /// parked flags on the rings. Returns true when a ring's cursor moved
+  /// before the flags went up, so the park must not sleep.
+  bool add_park_fds(std::vector<pollfd>& fds);
+  /// Ring links only: lowers the parked flags and drains the doorbell bytes
+  /// of the in-flight stage's control streams. When a stream is closed (the
+  /// peer exited, or was kill_endpoints'd) pumps the window once more and
+  /// throws the peer's death if that pump moved nothing; returns true when
+  /// it moved. Throws on a failed read.
+  bool end_park(WorkerState& st);
   /// Throws the BspTransportError of a failed idle wait on the in-flight
   /// stage.
   [[noreturn]] void idle_failure(const WorkerState& st,
@@ -379,7 +391,8 @@ class ExchangeEngine {
   FaultInjector* const* fault_;
   SlabPool* pool_ = nullptr;
   // Idle clock and poll set of a finish_windows call whose first window is
-  // this engine's.
+  // this engine's (a Serialized exchange waits on every hosted rank's window
+  // at once).
   Waiter waiter_;
 
   int pid_ = 0;

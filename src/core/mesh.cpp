@@ -277,8 +277,8 @@ int RankMesh::fd(int pid, int peer) const {
 void RankMesh::kill_endpoints(int pid) {
   mark_dirty();
   if (pid != cfg_.rank) return;
-  // shutdown, not close: the peer observes EOF on its next read (or shm's
-  // death-check peek of the control stream), exactly as a real process
+  // shutdown, not close: the peer observes EOF on its next read (or, on
+  // shm, when a park drains the control stream), exactly as a real process
   // death reads.
   for (int fd : fd_) {
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
@@ -389,7 +389,7 @@ void RankMesh::do_build(int nprocs) {
                        std::to_string(cfg_.tcp_connect_timeout_ms) + "ms";
   // Every link joins the mesh the same way: fd(me, peer), the medium's
   // hook, then no I/O deadline (stage I/O is non-blocking, and shm's
-  // death-check peek must never see a timeout errno).
+  // control-stream drain must never see a timeout errno).
   const auto join = [&](FdGuard& conn, int peer) {
     const int fd = conn.release();
     fd_[static_cast<std::size_t>(peer)] = fd;

@@ -286,10 +286,11 @@ class TcpMesh final : public RankMesh {
 /// Header page of one shm pair segment, written by the creating (lower)
 /// rank and validated by the mapping (higher) rank — the shm analogue of the
 /// RankHello's bidirectional checks, but for the geometry both ends must
-/// agree on byte-for-byte.
+/// agree on byte-for-byte. v2: the ring control blocks carry the parked
+/// flags (core/shm_ring.hpp), and a v1 peer would never ring a doorbell.
 struct ShmSegmentHdr {
   static constexpr std::uint64_t kMagic = 0x47454D5350534247ULL;  // "GBSPSMEG"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint64_t magic = kMagic;
   std::uint32_t version = kVersion;
@@ -307,10 +308,11 @@ static_assert(sizeof(ShmSegmentHdr) == 40, "shm segment header drifted");
 /// segment (header + two direction blocks of ring/slab, see
 /// core/shm_ring.hpp) and passes the fd over the stream with SCM_RIGHTS; the
 /// higher rank receives, validates and maps it. Both ends keep the AF_UNIX
-/// stream open as a control channel: it carries no data, but EOF on it is
-/// how a peer's death (or an injected PeerHangup) is observed without
-/// putting a single syscall on the data path, and kill_endpoints() shuts it
-/// down. fd(pid, peer) returns that control fd.
+/// stream open as a control channel: it carries no data, only one-byte
+/// doorbells that wake a parked peer, and EOF on it is how a peer's death
+/// (or an injected PeerHangup) is observed without putting a single syscall
+/// on the data path; kill_endpoints() shuts it down. fd(pid, peer) returns
+/// that control fd.
 class ShmMesh final : public RankMesh {
  public:
   explicit ShmMesh(const Config& cfg)

@@ -281,6 +281,7 @@ void Runtime::record_error(std::exception_ptr e, int pid) {
   }
   abort_.store(true, std::memory_order_release);
   barrier_->wake_on_abort();
+  transport_->wake_on_abort();
 }
 
 void Runtime::report_error(std::exception_ptr e, int pid) {

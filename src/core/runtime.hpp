@@ -255,10 +255,10 @@ class Runtime {
   /// True when this process hosts exactly ONE rank of a multi-process run
   /// (the tcp and shm transports): run_attempt builds a single WorkerState
   /// carrying the global rank (Config::rank), and cross-rank
-  /// synchronisation is the transport's staged exchange itself. RunStats then holds this rank's trace only, and checkpoint
-  /// resume degrades to whole-run replay (RecoveryManager::latest_complete
-  /// spans all nprocs ranks, of which only the local one ever checkpoints
-  /// here).
+  /// synchronisation is the transport's staged exchange itself. RunStats
+  /// then holds this rank's trace only, and checkpoint resume degrades to
+  /// whole-run replay (RecoveryManager::latest_complete spans all nprocs
+  /// ranks, of which only the local one ever checkpoints here).
   [[nodiscard]] bool process_mode() const {
     return cfg_.delivery == DeliveryStrategy::Tcp ||
            cfg_.delivery == DeliveryStrategy::Shm;
@@ -270,8 +270,9 @@ class Runtime {
   /// The two halves every boundary shares — rigid sync() and the split
   /// pair alike: begin_boundary seals the sends and starts the exchange;
   /// end_boundary completes delivery (after the one barrier, inside the
-  /// staged exchange, or under the scheduler, as the mode requires), bumps the superstep and progress counters,
-  /// checkpoints, and opens the next work slice.
+  /// staged exchange, or under the scheduler, as the mode requires), bumps
+  /// the superstep and progress counters, checkpoints, and opens the next
+  /// work slice.
   void begin_boundary(detail::WorkerState& st);
   void end_boundary(detail::WorkerState& st);
   /// Closes the open superstep: stamps its work_us, moves st.step into
@@ -279,8 +280,9 @@ class Runtime {
   void seal_step(detail::WorkerState& st);
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);
-  /// Keeps `e` as the run's error if it outranks the one held (see the .cpp)
-  /// and raises the abort flag.
+  /// Keeps `e` as the run's error if it outranks the one held (see the .cpp),
+  /// raises the abort flag, and wakes the workers parked in the barrier or
+  /// the transport.
   void record_error(std::exception_ptr e, int pid);
   /// record_error, then wakes the Serialized scheduler's waiters too.
   void report_error(std::exception_ptr e, int pid);

@@ -183,6 +183,11 @@ class Transport {
   /// injector must outlive the transport's use of it; null means no faults
   /// (the production fast path: one pointer check per injection point).
   virtual void set_fault_injector(FaultInjector* injector) = 0;
+
+  /// Called by the runtime right after it raises the abort flag, from any
+  /// thread: wakes every worker parked inside the transport, which then sees
+  /// the flag. Transports that never park leave this empty.
+  virtual void wake_on_abort() {}
 };
 
 /// Human-readable transport name for a strategy ("deferred", "eager",

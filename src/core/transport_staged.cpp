@@ -1,11 +1,41 @@
 #include "core/transport_staged.hpp"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <string>
 
 namespace gbsp {
 
+StagedTransport::StagedTransport(const Config& cfg, SlabPool& pool,
+                                 const std::atomic<bool>* abort_flag,
+                                 std::unique_ptr<detail::Mesh> mesh)
+    : TransportBase(cfg, pool, abort_flag),
+      mesh_(std::move(mesh)),
+      hosts_every_rank_(mesh_->hosts_every_rank()),
+      abort_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (abort_fd_ < 0) {
+    throw BspTransportError(std::string("eventfd for the abort wake: ") +
+                            std::strerror(errno));
+  }
+}
+
+StagedTransport::~StagedTransport() { ::close(abort_fd_); }
+
+void StagedTransport::wake_on_abort() {
+  // Fails only if the counter would overflow, and a nonzero counter already
+  // wakes every poll.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(abort_fd_, &one, sizeof(one));
+}
+
 void StagedTransport::reset_run(
     const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
+  // The previous run's abort, if any, is over; an undrained wake would end
+  // every park of this run at once.
+  std::uint64_t wakes = 0;
+  [[maybe_unused]] const ssize_t n = ::read(abort_fd_, &wakes, sizeof(wakes));
   if (!hosts_every_rank_ &&
       (states.size() != 1 || states[0]->pid != cfg_.rank)) {
     // Process mode: the Runtime hands over exactly the one local worker,
@@ -35,7 +65,7 @@ void StagedTransport::reset_run(
   eng_.reserve(states.size());
   for (const auto& st : states) {
     eng_.push_back(std::make_unique<detail::ExchangeEngine>(
-        cfg_, *pool_, *mesh_, abort_, &fault_));
+        cfg_, *pool_, *mesh_, abort_, abort_fd_, &fault_));
     eng_.back()->attach(st->pid, cfg_.nprocs);
   }
 }

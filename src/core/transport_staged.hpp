@@ -13,7 +13,9 @@
 //     hosts — all p in-process, one in process mode: the v2 sectioned wire
 //     format, the rigid (p-1)-stage schedule, sendmsg/readv or ring pumps,
 //     split-phase windows, the fault-injection sites, and the one idle-wait
-//     step (detail::Waiter, which documents the waiting policy).
+//     step (detail::Waiter, which documents the waiting policy). Every park
+//     also polls this transport's abort eventfd, which wake_on_abort()
+//     signals and reset_run() drains.
 //
 // This class is the Transport seam glue: it routes sends and boundaries
 // through the right rank's engine, publishes inbox views after each
@@ -53,10 +55,8 @@ class StagedTransport final : public detail::TransportBase {
  public:
   StagedTransport(const Config& cfg, SlabPool& pool,
                   const std::atomic<bool>* abort_flag,
-                  std::unique_ptr<detail::Mesh> mesh)
-      : TransportBase(cfg, pool, abort_flag),
-        mesh_(std::move(mesh)),
-        hosts_every_rank_(mesh_->hosts_every_rank()) {}
+                  std::unique_ptr<detail::Mesh> mesh);
+  ~StagedTransport() override;
 
   /// "socket", "tcp" or "shm": the DeliveryStrategy that picked the mesh.
   [[nodiscard]] const char* name() const override {
@@ -82,10 +82,9 @@ class StagedTransport final : public detail::TransportBase {
   // each stage drains; finish_exchange resumes the in-flight stage, pumps
   // the remaining stages with the Waiter's idle steps in between, and
   // publishes the inbox views. A rigid sync() is the same pair with an
-  // empty window. The
-  // window's wall-clock counts against Config::socket_stage_timeout_ms
-  // exactly like slow peer compute — the timeout must exceed the longest
-  // overlap window.
+  // empty window. The window's wall-clock counts against
+  // Config::socket_stage_timeout_ms exactly like slow peer compute — the
+  // timeout must exceed the longest overlap window.
   void begin_exchange(detail::WorkerState& st) override;
   bool progress(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& st) override;
@@ -93,6 +92,8 @@ class StagedTransport final : public detail::TransportBase {
                     states) override;
   [[nodiscard]] bool has_unflushed(
       const detail::WorkerState& st) const override;
+  /// Signals the abort eventfd, waking every parked idle wait.
+  void wake_on_abort() override;
 
   /// Fault-injection hook (tests/ops): hard-closes every endpoint worker
   /// `pid` owns, as if its process died mid-superstep. Peers observe EOF on
@@ -126,6 +127,8 @@ class StagedTransport final : public detail::TransportBase {
 
   std::unique_ptr<detail::Mesh> mesh_;
   const bool hosts_every_rank_;
+  // The eventfd every park polls: signalled on abort, drained by reset_run.
+  const int abort_fd_;
   // One engine per hosted rank (unique_ptr: an engine holds arenas and
   // iovec scratch whose addresses its own StageState may point at — it must
   // never relocate).

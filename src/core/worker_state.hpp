@@ -6,9 +6,10 @@
 // open superstep's statistics record. Everything strategy-specific —
 // per-destination outbox arenas, eager parity buffers, socket staging
 // state — lives inside the Transport implementation that needs it
-// (core/transport_*.hpp), keyed by pid. That separation is what lets one Runtime run unchanged over shared
-// buffers, chunk-locked eager splicing, or real sockets (the paper's SGI /
-// Cenju / PC-LAN portability claim, Appendix B).
+// (core/transport_*.hpp), keyed by pid. That separation is what lets one
+// Runtime run unchanged over shared buffers, chunk-locked eager splicing, or
+// real sockets (the paper's SGI / Cenju / PC-LAN portability claim,
+// Appendix B).
 #pragma once
 
 #include <cstddef>

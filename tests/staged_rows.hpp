@@ -239,11 +239,11 @@ inline FaultPlan poll_eintr_on_rank0() {
 }
 
 /// The PollCall site sits in the one idle-wait step both scheduling modes
-/// share. p = 2; rank 0 has no spin budget (socket_spin_us = 0), and rank 1
-/// holds back its sync until rank 0's injector has fired, so rank 0 must
-/// idle until its wait reaches the site (rank 1 gives up after 10 s, and the
-/// row fails). The injected EINTR must be absorbed there: no retry, and the
-/// same message and wire traffic as a fault-free run on the same Runtime.
+/// share, in front of every park. p = 2; rank 1 holds back its sync until
+/// rank 0's injector has fired, so rank 0 must idle past its spin until its
+/// wait reaches the site (rank 1 gives up after 10 s, and the row fails).
+/// The injected EINTR must be absorbed there: no retry, and the same
+/// message and wire traffic as a fault-free run on the same Runtime.
 inline void poll_site_fires_while_waiting(const RankConfig& cfg_of) {
   // Installed on rank 0's transport and owned here, so it outlives both
   // ranks' Runtimes and rank 1 may watch it.
@@ -257,24 +257,108 @@ inline void poll_site_fires_while_waiting(const RankConfig& cfg_of) {
     }
     ping(7)(w);
   };
+  on_runtimes(2, cfg_of, [&](Runtime& rt) {
+    const RunStats clean = rt.run(ping(7));
+    if (rt.config().rank == 0) {
+      rt.transport().set_fault_injector(&rank0_faults);
+    }
+    const RunStats faulted = rt.run(held_ping);
+    EXPECT_EQ(faulted.recoveries, 0u);
+    EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
+  });
+  EXPECT_EQ(rank0_faults.fired(), 1u)
+      << "rank 0's idle wait never reached the poll site";
+}
+
+/// A parked rank wakes when its peer's bytes land, not at the stage timeout.
+/// p = 2, three supersteps; in each, rank 1 sleeps 20 ms and then sends, so
+/// rank 0 spins out and parks (on rings, until rank 1's write rings the
+/// doorbell). Rank 1 stays in the run, waiting on rank 0's next stage, so a
+/// lost wake-up stalls the run into the stage timeout (3 s here) once per
+/// superstep, and the row fails on time.
+inline void parked_rank_wakes_on_peer_bytes(const RankConfig& cfg_of) {
+  const auto program = [](Worker& w) {
+    for (int s = 0; s < 3; ++s) {
+      if (w.pid() == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        w.send(0, s);
+      }
+      w.sync();
+      const Message* m = w.get_message();
+      if (w.pid() == 0 && (m == nullptr || m->as<int>() != s)) {
+        throw std::logic_error("staged: rank 1's message was lost");
+      }
+    }
+  };
   on_runtimes(
       2,
       [&cfg_of](int r) {
         Config cfg = cfg_of(r);
-        cfg.socket_spin_us = 0;
+        cfg.socket_stage_timeout_ms = 3'000;
         return cfg;
       },
       [&](Runtime& rt) {
-        const RunStats clean = rt.run(ping(7));
-        if (rt.config().rank == 0) {
-          rt.transport().set_fault_injector(&rank0_faults);
-        }
-        const RunStats faulted = rt.run(held_ping);
-        EXPECT_EQ(faulted.recoveries, 0u);
-        EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
+        const auto t0 = std::chrono::steady_clock::now();
+        rt.run(program);
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(2))
+            << "a parked rank slept past its peer's bytes";
       });
-  EXPECT_EQ(rank0_faults.fired(), 1u)
-      << "rank 0's idle wait never reached the poll site";
+}
+
+/// An abort wakes a parked wait at once. Socket, Parallel, p = 4: ranks 0-2
+/// sync and park on rank 3, which sleeps 200 ms and then throws. run() must
+/// rethrow rank 3's error within 2 s, long before the stage timeout (10 s
+/// by default) that would otherwise end the parks. Only a mesh that hosts
+/// every rank shares one abort between them, so the row is socket's.
+inline void abort_wakes_parked_waiter(const Config& cfg) {
+  Runtime rt(cfg);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    rt.run([](Worker& w) {
+      if (w.pid() == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        throw std::runtime_error("rank 3 failed");
+      }
+      w.sync();
+    });
+    ADD_FAILURE() << "rank 3's error must surface";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 failed");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+      << "the abort did not wake the parked ranks";
+}
+
+/// The watchdog's abort wakes a parked rank. Process mode, p = 2: rank 0 has
+/// superstep_deadline_ms = 200 and parks on rank 1, which sleeps 3 s before
+/// its sync. Rank 0 must throw the watchdog's error within 2 s, not the
+/// stage timeout's. Rank 1 then exchanges with a peer that is gone; either
+/// end of its run is fine.
+inline void watchdog_wakes_parked_rank(const RankConfig& cfg_of) {
+  on_ranks(2, [&](int r) {
+    Config cfg = cfg_of(r);
+    if (r == 0) cfg.superstep_deadline_ms = 200;
+    Runtime rt(cfg);
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      rt.run([](Worker& w) {
+        if (w.pid() == 1) std::this_thread::sleep_for(std::chrono::seconds(3));
+        w.sync();
+      });
+      if (r == 0) ADD_FAILURE() << "rank 0's watchdog must fire";
+    } catch (const BspTransportError& e) {
+      if (r == 0) {
+        EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
+            << e.what();
+      }
+    }
+    if (r == 0) {
+      EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                std::chrono::seconds(2))
+          << "the watchdog's abort did not wake rank 0's park";
+    }
+  });
 }
 
 /// Process mode, p = 2. Phase 1: both ranks run clean. Phase 2: rank 1's

@@ -60,34 +60,6 @@ TEST(ConfigValidation, RejectsOutOfRangeSocketTimeout) {
   EXPECT_NO_THROW(Runtime rt(cfg));
 }
 
-TEST(ConfigValidation, RejectsDegenerateSocketBackoff) {
-  Config cfg = valid_base();
-  cfg.delivery = DeliveryStrategy::Socket;
-  cfg.socket_backoff_initial_ms = 0;
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-
-  cfg = valid_base();
-  cfg.socket_backoff_initial_ms = 100;
-  cfg.socket_backoff_max_ms = 50;  // initial > max
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-
-  cfg = valid_base();
-  cfg.socket_stage_timeout_ms = 100;
-  cfg.socket_backoff_max_ms = 200;  // idle wait could overshoot the timeout
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-}
-
-TEST(ConfigValidation, RejectsRunawaySocketSpinBudget) {
-  Config cfg = valid_base();
-  cfg.delivery = DeliveryStrategy::Socket;
-  cfg.socket_spin_us = 1'000'001;  // > one second of spinning
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-  cfg.socket_spin_us = 1'000'000;
-  EXPECT_NO_THROW(Runtime rt(cfg));
-  cfg.socket_spin_us = 0;  // spinning disabled: straight to poll
-  EXPECT_NO_THROW(Runtime rt(cfg));
-}
-
 TEST(ConfigValidation, RejectsZeroSocketFrameCap) {
   Config cfg = valid_base();
   cfg.delivery = DeliveryStrategy::Socket;
@@ -101,9 +73,6 @@ TEST(ConfigValidation, ValidSocketKnobsConstructAndRun) {
   Config cfg = valid_base();
   cfg.delivery = DeliveryStrategy::Socket;
   cfg.socket_stage_timeout_ms = 5'000;
-  cfg.socket_backoff_initial_ms = 2;
-  cfg.socket_backoff_max_ms = 20;
-  cfg.socket_spin_us = 10;
   cfg.socket_buffer_bytes = 1 << 16;
   Runtime rt(cfg);
   EXPECT_STREQ(rt.transport().name(), "socket");

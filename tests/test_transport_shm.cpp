@@ -18,10 +18,12 @@
 // rows shared with the other meshes live in staged_rows.hpp.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstring>
@@ -95,6 +97,25 @@ int listen_as(const std::string& name, int rank) {
   return fd;
 }
 
+// Passes `seg_fd` and its announced length `len` over `sock` the way a
+// segment's creating rank does: the SCM_RIGHTS cmsg rides the length word.
+void pass_segment(int sock, int seg_fd, std::uint64_t len) {
+  iovec iov{&len, sizeof(len)};
+  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = cbuf;
+  msg.msg_controllen = sizeof(cbuf);
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_SOCKET;
+  cm->cmsg_type = SCM_RIGHTS;
+  cm->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cm), &seg_fd, sizeof(int));
+  EXPECT_EQ(::sendmsg(sock, &msg, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(len)));
+}
+
 // The shm medium of test slot `slot`, for the bootstrap rows shared with the
 // tcp mesh (staged_rows.hpp).
 staged_rows::Medium shm(int slot) {
@@ -139,15 +160,17 @@ TEST(ShmMeshBootstrap, FullMeshAcrossFourRanks) {
       detail::ShmPairView* pv = mesh.shm_pair(r, peer);
       const std::byte out{static_cast<unsigned char>(0x40 + r)};
       iovec iov{const_cast<std::byte*>(&out), 1};
-      ASSERT_EQ(detail::shm_ring_write(pv->send, &iov, 1, SIZE_MAX), 1u);
+      ASSERT_EQ(detail::shm_ring_write(pv->send, &iov, 1, mesh.fd(r, peer)),
+                1u);
     }
     for (int peer = 0; peer < p; ++peer) {
       if (peer == r) continue;
       detail::ShmPairView* pv = mesh.shm_pair(r, peer);
       std::byte in{};
+      iovec iov{&in, 1};
       std::size_t got = 0;
       for (int tries = 0; tries < 2000 && got == 0; ++tries) {
-        got = detail::shm_ring_read(pv->recv, &in, 1);
+        got = detail::shm_ring_read_iov(pv->recv, &iov, 1, mesh.fd(r, peer));
         if (got == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       ASSERT_EQ(got, 1u);
@@ -329,6 +352,44 @@ TEST(ShmMeshBootstrap, SegmentSizeMismatchIsDescriptive) {
   rank0.join();
 }
 
+TEST(ShmMeshBootstrap, SegmentVersionMismatchIsDescriptive) {
+  // A fake rank 0 completes the hello and passes a correctly sized segment
+  // whose header speaks protocol v1, whose control blocks have no parked
+  // flags and whose ranks never ring a doorbell: rank 1 must not map it.
+  const std::string name = seg_name(26);
+  Config cfg = rank_cfg(1, 2, name);
+  cfg.shm_ring_bytes = std::size_t{64} << 10;
+  cfg.shm_slab_bytes = 0;
+  cfg.tcp_connect_timeout_ms = 5'000;
+  // The header page, then two direction blocks of control page and ring.
+  const std::uint64_t len = 4096 + 2 * (4096 + cfg.shm_ring_bytes);
+  const int lfd = listen_as(name, 0);
+  std::thread fake_rank0([&] {
+    const int fd = staged_rows::accept_hello(lfd);
+    const detail::RankHello out = staged_rows::hello(0, 2);
+    staged_rows::send_all(fd, &out, sizeof(out));
+    const int seg = ::memfd_create("gbsp-test-v1-segment", MFD_CLOEXEC);
+    EXPECT_EQ(::ftruncate(seg, static_cast<off_t>(len)), 0);
+    detail::ShmSegmentHdr hdr;
+    hdr.version = 1;
+    hdr.nprocs = 2;
+    hdr.rank_lo = 0;
+    hdr.rank_hi = 1;
+    hdr.ring_bytes = cfg.shm_ring_bytes;
+    hdr.slab_bytes = cfg.shm_slab_bytes;
+    EXPECT_EQ(::pwrite(seg, &hdr, sizeof(hdr), 0),
+              static_cast<ssize_t>(sizeof(hdr)));
+    pass_segment(fd, seg, len);
+    ::close(seg);
+    staged_rows::drain_and_close(fd);
+    ::close(lfd);
+  });
+  detail::ShmMesh mesh(cfg);
+  staged_rows::expect_build_fails(
+      mesh, 2, {"segment protocol v1, this build expects v2"});
+  fake_rank0.join();
+}
+
 // The rows below run on the tcp mesh too (staged_rows.hpp).
 
 TEST(ShmMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
@@ -376,6 +437,84 @@ TEST(ShmMeshBootstrap, DialerRankMismatchIsDescriptive) {
 
 TEST(ShmMeshBootstrap, CloseDuringHelloIsRetried) {
   staged_rows::close_during_hello_is_retried(shm(22));
+}
+
+// --------------------------------------------------------------------------
+// Ring doorbells, on one thread: a heap-backed ring direction, with a
+// socketpair standing in for the pair's control stream.
+// --------------------------------------------------------------------------
+
+struct HeapRing {
+  explicit HeapRing(std::size_t cap) : bytes(cap) {
+    dir.ctl = &ctl;
+    dir.ring = bytes.data();
+    dir.ring_cap = cap;
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, bell), 0);
+  }
+  ~HeapRing() {
+    ::close(bell[0]);
+    ::close(bell[1]);
+  }
+  HeapRing(const HeapRing&) = delete;
+  HeapRing& operator=(const HeapRing&) = delete;
+
+  // The ring functions' side of the stream: where they ring.
+  [[nodiscard]] int bell_fd() const { return bell[0]; }
+  // Doorbell bytes waiting at the parked side's end; reading them drains
+  // them.
+  int rung() {
+    char b[8];
+    const ssize_t n = ::recv(bell[1], b, sizeof(b), MSG_DONTWAIT);
+    return n < 0 ? 0 : static_cast<int>(n);
+  }
+  std::size_t write(std::size_t n) {
+    std::vector<std::byte> out(n);
+    iovec iov{out.data(), n};
+    return detail::shm_ring_write(dir, &iov, 1, bell_fd());
+  }
+  std::size_t read(std::size_t n) {
+    std::vector<std::byte> in(n);
+    iovec iov{in.data(), n};
+    return detail::shm_ring_read_iov(dir, &iov, 1, bell_fd());
+  }
+
+  detail::ShmRingCtl ctl{};
+  std::vector<std::byte> bytes;
+  detail::ShmDirView dir;
+  int bell[2] = {-1, -1};
+};
+
+TEST(ShmRingDoorbell, PublishingWriteWakesAParkedReaderOnce) {
+  HeapRing r(64);
+  r.ctl.reader_parked.store(1);
+  EXPECT_EQ(r.write(16), 16u);
+  EXPECT_EQ(r.rung(), 1) << "a parked reader is owed exactly one doorbell";
+  EXPECT_EQ(r.ctl.reader_parked.load(), 0u) << "the doorbell clears the flag";
+  EXPECT_EQ(r.write(16), 16u);
+  EXPECT_EQ(r.rung(), 0) << "with the flag clear, a write owes no doorbell";
+}
+
+TEST(ShmRingDoorbell, FreeingReadWakesAParkedWriterOnce) {
+  HeapRing r(32);
+  ASSERT_EQ(r.write(32), 32u);  // full
+  r.ctl.writer_parked.store(1);
+  EXPECT_EQ(r.read(8), 8u);
+  EXPECT_EQ(r.rung(), 1) << "a parked writer is owed exactly one doorbell";
+  EXPECT_EQ(r.ctl.writer_parked.load(), 0u) << "the doorbell clears the flag";
+  EXPECT_EQ(r.read(8), 8u);
+  EXPECT_EQ(r.rung(), 0) << "with the flag clear, a read owes no doorbell";
+}
+
+TEST(ShmRingDoorbell, CallsThatMoveNothingOweNothing) {
+  HeapRing r(16);
+  r.ctl.writer_parked.store(1);
+  EXPECT_EQ(r.read(8), 0u);  // empty
+  ASSERT_EQ(r.write(16), 16u);
+  r.ctl.reader_parked.store(1);
+  EXPECT_EQ(r.write(8), 0u);  // full
+  EXPECT_EQ(r.rung(), 0) << "a call that moved no cursor rang a doorbell";
+  EXPECT_EQ(r.ctl.reader_parked.load(), 1u);
+  EXPECT_EQ(r.ctl.writer_parked.load(), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -541,8 +680,8 @@ TEST(ShmRuntime, ZeroCopyEpochsRecycleAndGuardReuse) {
 }
 
 TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
-  // Peer death shows as EOF on the control channel, seen by the idle-path
-  // probe; the rebuild maps new segments with a new epoch space.
+  // Peer death shows as EOF on the control channel, which ends a park; the
+  // rebuild maps new segments with a new epoch space.
   const std::string name = seg_name(11);
   staged_rows::peer_death_surfaces_and_mesh_rebuilds(
       [&name](int r) { return rank_cfg(r, 2, name); });
@@ -550,9 +689,23 @@ TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
 
 TEST(ShmRuntime, PollSiteFiresWhileWaiting) {
   // The shm row of the shared poll-site property: on rings the site guards
-  // the nap.
+  // the park on the control streams, which rank 1's doorbell ends.
   const std::string name = seg_name(23);
   staged_rows::poll_site_fires_while_waiting(
+      [&name](int r) { return rank_cfg(r, 2, name); });
+}
+
+TEST(ShmRuntime, ParkedRankWakesOnPeerBytes) {
+  // On rings only the doorbell ends the park: rank 1 stays alive, so no
+  // EOF comes to wake rank 0 instead.
+  const std::string name = seg_name(28);
+  staged_rows::parked_rank_wakes_on_peer_bytes(
+      [&name](int r) { return rank_cfg(r, 2, name); });
+}
+
+TEST(ShmRuntime, WatchdogWakesParkedRank) {
+  const std::string name = seg_name(27);
+  staged_rows::watchdog_wakes_parked_rank(
       [&name](int r) { return rank_cfg(r, 2, name); });
 }
 
@@ -560,16 +713,17 @@ TEST(ShmRuntime, PeerTeardownAfterItsLastStageIsNotADeath) {
   // End-of-run teardown race: rank 1 writes its whole last stage into the
   // ring, finishes its run and destroys its Runtime while rank 0 still
   // waits inside that stage. EOF on the control channel then reaches rank
-  // 0's idle-path probe before rank 0 has drained the ring; the stage can
+  // 0's wake-up drain before rank 0 has drained the ring; the stage can
   // still complete, so rank 0 must drain it instead of reporting a death.
   // The fault plan pins that interleaving on rank 0: its recv pumps see
-  // EAGAIN up to and including the one after its first idle wait, and that
-  // wait stalls 200 ms — long enough for rank 1 to finish and tear down.
+  // EAGAIN up to and including the one after its first idle wait, and its
+  // first park stalls 200 ms at the poll site — long enough for rank 1,
+  // which writes 50 ms in, to finish and tear down. The park's cursor
+  // re-check then finds the bytes and skips the poll, and the drain after
+  // it finds the EOF.
   const std::string name = seg_name(12);
   on_ranks(2, [&](int r) {
-    Config cfg = rank_cfg(r, 2, name);
-    if (r == 0) cfg.socket_spin_us = 0;
-    Runtime rt(cfg);
+    Runtime rt(rank_cfg(r, 2, name));
     if (r == 0) {
       FaultRule eagain;
       eagain.site = FaultSite::RecvCall;

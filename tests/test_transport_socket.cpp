@@ -211,7 +211,6 @@ TEST(SocketFaultInjection, StageTimeoutFiresOnWedgedPeer) {
   // timeout rather than hang.
   Config cfg = socket_config(2);
   cfg.socket_stage_timeout_ms = 200;
-  cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_THROW(rt.run([](Worker& w) {
@@ -233,13 +232,12 @@ TEST(SocketFaultInjection, PollSiteFiresInParallelMode) {
 TEST(SocketFaultInjection, PollSiteFiresInSerializedMode) {
   // A Serialized exchange runs on one thread, so no peer can be late:
   // injected recv EAGAINs hold rank 0's window open instead, until a whole
-  // round of pumps moves nothing and the wait step both scheduling modes
-  // share consults the poll site. Two EAGAINs go to begin_window's
+  // round of pumps moves nothing. A Serialized wait parks without spinning,
+  // so that first empty round already consults the poll site in the wait
+  // step both scheduling modes share. Two EAGAINs go to begin_window's
   // opportunistic pass, the third empties the first round. The injected
   // EINTR must fire and be absorbed.
-  Config cfg = socket_config(2, Scheduling::Serialized);
-  cfg.socket_spin_us = 0;
-  Runtime rt(cfg);
+  Runtime rt(socket_config(2, Scheduling::Serialized));
   const RunStats clean = rt.run(staged_rows::ping(7));
   FaultPlan plan = staged_rows::poll_eintr_on_rank0();
   FaultRule eagain;
@@ -256,12 +254,15 @@ TEST(SocketFaultInjection, PollSiteFiresInSerializedMode) {
   EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
 }
 
+TEST(SocketFaultInjection, AbortWakesParkedWaiter) {
+  staged_rows::abort_wakes_parked_waiter(socket_config(4));
+}
+
 TEST(SocketFaultInjection, RuntimeIsReusableAfterAFailedRun) {
   // reset_run() rebuilds sockets from scratch, so a run that died mid-stage
   // (half-written frames in kernel buffers) must not poison the next run.
   Config cfg = socket_config(2);
   cfg.socket_stage_timeout_ms = 200;
-  cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
   EXPECT_THROW(rt.run([](Worker& w) {
                  w.send(1 - w.pid(), 1);
@@ -302,7 +303,6 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   // that reuse again.
   Config cfg = socket_config(2);
   cfg.socket_stage_timeout_ms = 200;
-  cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
   StagedTransport& sock = staged_rows::staged(rt);
   EXPECT_THROW(rt.run([](Worker& w) {

@@ -326,6 +326,25 @@ TEST(TcpRuntime, LargeFramesCrossTheMesh) {
   });
 }
 
+TEST(TcpRuntime, PollSiteFiresWhileWaiting) {
+  // The tcp row of the shared poll-site property (staged_rows.hpp).
+  const int base = port_base(20);
+  staged_rows::poll_site_fires_while_waiting(
+      [base](int r) { return rank_cfg(r, 2, base); });
+}
+
+TEST(TcpRuntime, ParkedRankWakesOnPeerBytes) {
+  const int base = port_base(22);
+  staged_rows::parked_rank_wakes_on_peer_bytes(
+      [base](int r) { return rank_cfg(r, 2, base); });
+}
+
+TEST(TcpRuntime, WatchdogWakesParkedRank) {
+  const int base = port_base(21);
+  staged_rows::watchdog_wakes_parked_rank(
+      [base](int r) { return rank_cfg(r, 2, base); });
+}
+
 TEST(TcpRuntime, PeerDeathSurfacesAndMeshRebuilds) {
   // Peer death shows as EOF/ECONNRESET on the stream.
   const int base = port_base(12);
