@@ -19,18 +19,6 @@ void require_clean_inbox(Worker& w, const char* what) {
   }
 }
 
-double resolve_collective_g_us(const Config& cfg) {
-  return cfg.collective_g_us > 0.0
-             ? cfg.collective_g_us
-             : default_collective_g_us(cfg.delivery, cfg.nprocs);
-}
-
-double resolve_collective_l_us(const Config& cfg) {
-  return cfg.collective_l_us > 0.0
-             ? cfg.collective_l_us
-             : default_collective_l_us(cfg.delivery, cfg.nprocs);
-}
-
 CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
                                             std::size_t bytes) {
   switch (cfg.collective_schedule) {
@@ -43,7 +31,8 @@ CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
       break;
   }
   const ScheduleChoice c = evaluate_rooted_schedule(
-      p, bytes, resolve_collective_g_us(cfg), resolve_collective_l_us(cfg),
+      p, bytes, default_collective_g_us(cfg.delivery, cfg.nprocs),
+      default_collective_l_us(cfg.delivery, cfg.nprocs),
       cfg.packet_unit_bytes);
   return c.schedule == CollectiveSchedule::Tree ? CollectiveAlgorithm::Tree
                                                 : CollectiveAlgorithm::Direct;

@@ -22,7 +22,7 @@
 //    Valiant-style two-phase gather–scatter schedule that splits a hot-spot
 //    relation into two balanced ~h/p phases, and a selector that picks the
 //    schedule from the request's actual traffic matrix and the transport's
-//    measured g/L (Config::collective_* knobs). See DESIGN.md section 13.
+//    measured g/L (default_collective_{g,l}_us). See DESIGN.md section 13.
 //
 // Contract: collectives occupy dedicated supersteps — every processor calls
 // the same collective with compatible arguments, and the caller's inbox must
@@ -80,13 +80,11 @@ static_assert(sizeof(WireSegment) == 8);
 // Schedule selector: Direct / Tree / TwoPhase from g, L, and the h-relation.
 // --------------------------------------------------------------------------
 
-/// Selector cost constants for a transport on this host when
-/// Config::collective_g_us / collective_l_us are 0: fits of the bsp_probe
-/// measurements committed in BENCH_transport.json (g in microseconds per
-/// 16-byte packet, L in microseconds per boundary). Rough by design — the
-/// selector only needs the right order of magnitude to land on the right
-/// side of each crossover; pin exact values via the Config knobs (e.g. from
-/// a live `bsp_probe --collectives` run).
+/// Selector cost constants for a transport on this host: fits of the
+/// bsp_probe measurements committed in BENCH_transport.json (g in
+/// microseconds per 16-byte packet, L in microseconds per boundary). Rough
+/// by design — the selector only needs the right order of magnitude to land
+/// on the right side of each crossover.
 [[nodiscard]] double default_collective_g_us(DeliveryStrategy d, int nprocs);
 [[nodiscard]] double default_collective_l_us(DeliveryStrategy d, int nprocs);
 
@@ -117,10 +115,6 @@ struct ScheduleChoice {
     double g_us, double l_us, std::size_t packet_unit);
 
 namespace detail {
-
-/// Config override or per-transport default (cfg.collective_g_us == 0).
-[[nodiscard]] double resolve_collective_g_us(const Config& cfg);
-[[nodiscard]] double resolve_collective_l_us(const Config& cfg);
 
 /// The rooted-collective choice for `bytes` payload bytes under `cfg`,
 /// honoring Config::collective_schedule (TwoPhase is meaningless for rooted
@@ -811,8 +805,9 @@ std::vector<std::vector<T>> alltoallv(
     }
     const ScheduleChoice c = evaluate_alltoallv_schedule(
         matrix, cfg.delivery == DeliveryStrategy::Socket,
-        detail::resolve_collective_g_us(cfg),
-        detail::resolve_collective_l_us(cfg), cfg.packet_unit_bytes);
+        default_collective_g_us(cfg.delivery, cfg.nprocs),
+        default_collective_l_us(cfg.delivery, cfg.nprocs),
+        cfg.packet_unit_bytes);
     schedule = c.schedule;
     // Re-derive the framing limit from the shared matrix (not from this
     // rank's own rows), so the Direct fallback below is the same decision on

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -108,22 +107,6 @@ struct Config {
   /// detail::Waiter (core/exchange_engine.hpp).
   std::size_t socket_stage_timeout_ms = 10'000;
 
-  /// Socket transport: upper bound on a single message's payload on the
-  /// wire. Outgoing messages above it are rejected at send time; incoming
-  /// frame headers claiming more are diagnosed as stream corruption
-  /// (BspTransportError) instead of letting a garbled length size an inbox
-  /// arena append.
-  std::size_t socket_max_frame_bytes = std::size_t{1} << 30;  // 1 GiB
-
-  /// Socket transport: kernel socket buffer policy. 0 = adaptive, the
-  /// default: SO_SNDBUF (sender side) and SO_RCVBUF (receiver side) are
-  /// grown toward each stage's expected byte count, so a stage that fits in
-  /// kernel buffers completes without blocking on the peer's reads. Nonzero
-  /// = request exactly this many bytes per socket at build time (the kernel
-  /// clamps to its own min/max; tests use tiny values to force torn
-  /// preambles and partial scatter-gather writes).
-  std::size_t socket_buffer_bytes = 0;
-
   /// Process mode (delivery == Tcp or Shm): which rank of the nprocs-process
   /// run THIS process is. Set by bsp_launch via the GBSP_RANK environment
   /// variable (see configure_proc_from_env); ignored by the in-process
@@ -160,31 +143,18 @@ struct Config {
   std::size_t shm_ring_bytes = std::size_t{1} << 20;  // 1 MiB
 
   /// Shm transport: bytes of zero-copy payload slab per direction per rank
-  /// pair. Payloads >= shm_inline_threshold are written straight into the
+  /// pair. Payloads >= kShmInlineThreshold are written straight into the
   /// slab and the receiver's inbox views alias the mapping — no copy at all.
   /// The slab is split into two halves recycled on alternating boundary
   /// epochs; a payload above half the slab (or a slab-full epoch) falls back
   /// to inline ring delivery. 0 disables zero-copy entirely.
   std::size_t shm_slab_bytes = std::size_t{1} << 23;  // 8 MiB
 
-  /// Shm transport: smallest payload delivered zero-copy through the slab.
-  /// Below it the inline ring copy is cheaper than the descriptor
-  /// indirection; above it the payload moves no bytes at all.
-  std::size_t shm_inline_threshold = 4096;
-
   /// Collectives layer (core/collectives.hpp): schedule override. Auto picks
   /// Direct / Tree / TwoPhase per call from the h-relation and the
-  /// transport's g/L; any other value forces that schedule.
+  /// transport's g/L (default_collective_{g,l}_us); any other value forces
+  /// that schedule.
   CollectiveSchedule collective_schedule = CollectiveSchedule::Auto;
-
-  /// Collectives selector cost constants, in the paper's units: g in
-  /// microseconds per 16-byte packet, L in microseconds per superstep.
-  /// 0 (the default) uses per-transport constants measured by bsp_probe on
-  /// this host (committed in BENCH_transport.json); nonzero pins the value —
-  /// set both from a live `bsp_probe --collectives` run to retarget the
-  /// selector at a different machine profile.
-  double collective_g_us = 0.0;
-  double collective_l_us = 0.0;
 
   /// Superstep checkpointing (core/recovery.hpp): 0 disables; N snapshots
   /// every worker's recovery state (registered regions, the save callback's
@@ -218,6 +188,12 @@ struct Config {
   std::size_t superstep_deadline_ms = 0;
 };
 
+/// Shm transport: smallest payload delivered zero-copy through the pair's
+/// slab (core/exchange_engine.cpp, ExchangeEngine::reserve). Below it the
+/// inline ring copy is cheaper than the descriptor indirection; above it the
+/// payload moves no bytes at all.
+inline constexpr std::size_t kShmInlineThreshold = 4096;
+
 /// Validates a Config at Runtime construction, so bad values fail loudly
 /// with std::invalid_argument instead of surfacing as deadlocks or UB deep
 /// inside delivery.
@@ -240,39 +216,6 @@ inline void validate_config(const Config& cfg) {
     throw std::invalid_argument(
         "gbsp: socket_stage_timeout_ms must be in [1, 3600000], got " +
         std::to_string(cfg.socket_stage_timeout_ms));
-  }
-  if (cfg.socket_max_frame_bytes == 0) {
-    throw std::invalid_argument(
-        "gbsp: socket_max_frame_bytes must be >= 1 (a zero cap would reject "
-        "every message)");
-  }
-  // setsockopt takes an int: a pinned kernel buffer request above INT_MAX
-  // would silently truncate instead of pinning what was asked for.
-  if (cfg.socket_buffer_bytes >
-      static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(
-        "gbsp: socket_buffer_bytes must fit in an int (setsockopt's unit), "
-        "got " +
-        std::to_string(cfg.socket_buffer_bytes));
-  }
-  if (cfg.socket_buffer_bytes != 0 &&
-      cfg.socket_buffer_bytes > cfg.socket_max_frame_bytes) {
-    throw std::invalid_argument(
-        "gbsp: a pinned socket_buffer_bytes (" +
-        std::to_string(cfg.socket_buffer_bytes) +
-        ") must not exceed socket_max_frame_bytes (" +
-        std::to_string(cfg.socket_max_frame_bytes) +
-        "): a single admissible frame could then never fit the kernel "
-        "buffers it must stream through");
-  }
-  // Keep frame lengths far from u64 overflow: the receiver sums up to 2^26
-  // claimed frame lens (kMaxHeaderBlockBytes worth of headers) before
-  // validating them against the preamble, and that sum must not wrap.
-  constexpr std::size_t kMaxFrameCap = std::size_t{1} << 37;  // 128 GiB
-  if (cfg.socket_max_frame_bytes > kMaxFrameCap) {
-    throw std::invalid_argument(
-        "gbsp: socket_max_frame_bytes must be <= 2^37, got " +
-        std::to_string(cfg.socket_max_frame_bytes));
   }
   if (cfg.delivery == DeliveryStrategy::Tcp ||
       cfg.delivery == DeliveryStrategy::Shm) {
@@ -344,28 +287,15 @@ inline void validate_config(const Config& cfg) {
           std::to_string(cfg.shm_slab_bytes));
     }
     if (cfg.shm_slab_bytes != 0 &&
-        cfg.shm_slab_bytes < 2 * cfg.shm_inline_threshold) {
+        cfg.shm_slab_bytes < 2 * kShmInlineThreshold) {
       throw std::invalid_argument(
           "gbsp: a nonzero shm_slab_bytes (" +
-          std::to_string(cfg.shm_slab_bytes) +
-          ") must be at least 2 * shm_inline_threshold (" +
-          std::to_string(cfg.shm_inline_threshold) +
-          "): each of the slab's two epoch halves must fit the smallest "
-          "zero-copy payload");
+          std::to_string(cfg.shm_slab_bytes) + ") must be at least " +
+          std::to_string(2 * kShmInlineThreshold) +
+          ": each of the slab's two epoch halves must fit the smallest "
+          "zero-copy payload (" +
+          std::to_string(kShmInlineThreshold) + " bytes)");
     }
-    if (cfg.shm_inline_threshold < 64) {
-      throw std::invalid_argument(
-          "gbsp: shm_inline_threshold must be >= 64 (tiny payloads are "
-          "cheaper inline than through a slab descriptor), got " +
-          std::to_string(cfg.shm_inline_threshold));
-    }
-  }
-  if (!(cfg.collective_g_us >= 0.0) || !(cfg.collective_l_us >= 0.0)) {
-    // The negated >= also rejects NaN, which would otherwise make every
-    // selector comparison false and the choice arbitrary.
-    throw std::invalid_argument(
-        "gbsp: collective_g_us and collective_l_us must be >= 0 (0 = use the "
-        "per-transport measured defaults)");
   }
 }
 

@@ -95,19 +95,19 @@ bool ExchangeEngine::has_unflushed() const {
 }
 
 std::byte* ExchangeEngine::reserve(WorkerState& st, int dest, std::size_t n) {
-  if (n > cfg_->socket_max_frame_bytes) {
+  if (n > kMaxFrameBytes) {
     // Reject at the send call, where the application can see a clean error,
     // rather than letting the peer's header validation kill the exchange.
     throw BspTransportError(
         "message of " + std::to_string(n) +
-            " bytes exceeds socket_max_frame_bytes (" +
-            std::to_string(cfg_->socket_max_frame_bytes) + ")",
+            " bytes exceeds the frame cap of " +
+            std::to_string(kMaxFrameBytes) + " bytes",
         st.pid, dest, static_cast<std::int64_t>(st.superstep), /*stage=*/-1,
         /*err=*/0, /*bytes_moved=*/0);
   }
   const std::size_t d = static_cast<std::size_t>(dest);
   if (links_[d].ring != nullptr && cfg_->shm_slab_bytes != 0 &&
-      n >= cfg_->shm_inline_threshold) {
+      n >= kShmInlineThreshold) {
     if (std::byte* slot = try_reserve_zc(st, dest, n)) return slot;
   }
   // Same bump-append staging as the deferred transport; the bytes hit the
@@ -190,7 +190,7 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
     ShmPairView* pv = links_[static_cast<std::size_t>(z.src)].ring;
     // A descriptor is peer-controlled input; validate before aliasing the
     // mapping, exactly like the wire headers it rode in with.
-    if (pv == nullptr || desc.len > cfg_->socket_max_frame_bytes ||
+    if (pv == nullptr || desc.len > kMaxFrameBytes ||
         desc.offset > pv->recv.slab_cap ||
         desc.len > pv->recv.slab_cap - desc.offset) {
       throw BspTransportError(
@@ -261,11 +261,6 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   // The arena stays live (it backs the iovec) until pump_send retires the
   // last entry and clears it.
   ss.send_arena = &ob;
-  mesh_->grow_kernel_buffer(
-      pid_, static_cast<int>(sp), /*send_side=*/true,
-      sizeof(StagePreamble) +
-          static_cast<std::size_t>(ss.send_pre.header_bytes) +
-          static_cast<std::size_t>(ss.send_pre.payload_bytes));
 }
 
 std::optional<FaultInjector::Decision> ExchangeEngine::syscall_fault(
@@ -440,13 +435,13 @@ void ExchangeEngine::parse_header_block(WorkerState& st, StageState& ss,
           st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
           /*err=*/0, ss.recv_moved);
     }
-    if (h.len > cfg_->socket_max_frame_bytes) {
+    if (h.len > kMaxFrameBytes) {
       throw BspTransportError(
           "frame header " + std::to_string(i) + " claims " +
               std::to_string(h.len) +
-              " payload bytes, which exceeds socket_max_frame_bytes (" +
-              std::to_string(cfg_->socket_max_frame_bytes) +
-              "; stream corruption?)",
+              " payload bytes, which exceeds the frame cap of " +
+              std::to_string(kMaxFrameBytes) +
+              " bytes (stream corruption?)",
           st.pid, src, static_cast<std::int64_t>(st.superstep), ss.k,
           /*err=*/0, ss.recv_moved);
     }
@@ -598,11 +593,6 @@ std::size_t ExchangeEngine::pump_recv(WorkerState& st, StageState& ss) {
             hdr_in_.resize(
                 static_cast<std::size_t>(ss.recv_pre.header_bytes));
             ss.hdr_off = 0;
-            mesh_->grow_kernel_buffer(
-                pid_, src, /*send_side=*/false,
-                sizeof(StagePreamble) +
-                    static_cast<std::size_t>(ss.recv_pre.header_bytes) +
-                    static_cast<std::size_t>(ss.recv_pre.payload_bytes));
             ss.phase = StageState::Phase::Headers;
           }
         }

@@ -54,26 +54,25 @@
 // over either medium, a full ring is the EAGAIN analogue, and nothing on
 // the steady-state data path enters the kernel (wire_syscalls reads 0; a
 // parked Waiter polls the mesh's control streams, on which a peer that moves
-// a ring's cursor rings a doorbell). Payloads >= Config::shm_inline_threshold
-// additionally go zero-copy: reserve() hands the sender a slot inside the
-// pair's shared slab, a 16-byte ShmZcDesc travels the ring in the payload's
-// place (wire header pad == 1), and apply_zc_views() re-points the
-// receiver's inbox views at the mapping itself. Slab halves recycle on
-// alternating boundary epochs, fenced by the consumer-published
+// a ring's cursor rings a doorbell). Payloads >= kShmInlineThreshold
+// (core/config.hpp) additionally go zero-copy: reserve() hands the sender a
+// slot inside the pair's shared slab, a 16-byte ShmZcDesc travels the ring
+// in the payload's place (wire header pad == 1), and apply_zc_views()
+// re-points the receiver's inbox views at the mapping itself. Slab halves
+// recycle on alternating boundary epochs, fenced by the consumer-published
 // boundaries_opened counter.
 //
 // Robustness: both directions of a stage are pumped through non-blocking
 // partial read/write loops (EINTR retried), so a full-duplex stage never
 // deadlocks on kernel buffer limits. A stage that makes no progress for
 // Config::socket_stage_timeout_ms, or that observes a closed peer, throws
-// BspTransportError; incoming frame headers are validated (pad must be 0,
-// len capped by Config::socket_max_frame_bytes, sections must agree) so a
-// corrupt stream is diagnosed instead of sizing an arena append from
-// garbage. Every idle wait checks the runtime's abort flag, and an abort
-// wakes every parked wait, so a failure elsewhere unwinds the survivors at
-// once. Every syscall consults the fault injector (when installed) first —
-// the deterministic fault matrix drives this engine identically over either
-// mesh.
+// BspTransportError; incoming frame headers are validated (pad must be 0, len
+// capped by kMaxFrameBytes, sections must agree) so a corrupt stream is
+// diagnosed instead of sizing an arena append from garbage. Every idle wait
+// checks the runtime's abort flag, and an abort wakes every parked wait, so a
+// failure elsewhere unwinds the survivors at once. Every syscall consults the
+// fault injector (when installed) first — the deterministic fault matrix
+// drives this engine identically over either mesh.
 #pragma once
 
 #include <poll.h>     // pollfd
@@ -111,6 +110,13 @@ struct WireFrameHeader {
   std::uint64_t len;
 };
 static_assert(sizeof(WireFrameHeader) == 16, "wire header layout drifted");
+
+/// Largest payload one frame may carry (WireFrameHeader::len). A send above
+/// it is rejected at the send call; a received header claiming more is
+/// diagnosed as stream corruption instead of sizing an inbox arena append.
+/// The receiver sums up to 2^26 claimed lens before checking them against
+/// the preamble, and 2^26 * 2^30 is far from wrapping a u64.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;  // 1 GiB
 
 /// Stage preamble: one per stage, ahead of the header block. The redundancy
 /// (header_bytes is derivable from count) is deliberate — the receiver
@@ -225,8 +231,8 @@ class ExchangeEngine {
   [[nodiscard]] bool has_unflushed() const;
 
   /// Stages an n-byte frame for `dest` and returns its writable payload
-  /// slot. Rejects frames above Config::socket_max_frame_bytes at the send
-  /// call, where the application can see a clean error.
+  /// slot. Rejects frames above kMaxFrameBytes at the send call, where the
+  /// application can see a clean error.
   std::byte* reserve(WorkerState& st, int dest, std::size_t n);
 
   /// Shm only: re-points every zero-copy inbox view of the boundary just
@@ -244,9 +250,9 @@ class ExchangeEngine {
   // pump_window calls.
 
   /// Opens the boundary and starts streaming stage 1, with one
-  /// opportunistic non-blocking pass (with kernel buffers sized to the
-  /// stage, small exchanges are often fully on the wire before the caller's
-  /// overlapped compute even starts).
+  /// opportunistic non-blocking pass (a stage that fits the kernel buffers
+  /// is often fully on the wire before the caller's overlapped compute even
+  /// starts).
   void begin_window(WorkerState& st);
 
   /// Non-blocking pass over the window's schedule: pumps the in-flight

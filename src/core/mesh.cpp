@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -29,10 +28,10 @@ namespace detail {
 
 namespace {
 
-/// Largest kernel buffer the adaptive sizing will ever request. Beyond a few
-/// MiB the transfer is syscall-bound anyway and the pumps stream through the
-/// buffer; unbounded requests would just pin memory per endpoint.
-constexpr std::size_t kMaxKernelBufBytes = std::size_t{1} << 22;
+/// The SO_SNDBUF and SO_RCVBUF every data-path endpoint requests at build.
+/// Beyond a few MiB a transfer is syscall-bound anyway and the pumps stream
+/// through the buffer; a larger request would just pin memory per endpoint.
+constexpr int kKernelBufBytes = 1 << 22;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -43,19 +42,18 @@ void set_nonblocking(int fd) {
   }
 }
 
-std::size_t kernel_buf_bytes(int fd, int opt) {
-  int v = 0;
-  socklen_t len = sizeof(v);
-  if (::getsockopt(fd, SOL_SOCKET, opt, &v, &len) != 0 || v < 0) return 0;
-  return static_cast<std::size_t>(v);
-}
-
-void request_kernel_buf(int fd, int opt, std::size_t bytes) {
-  const int v = static_cast<int>(std::min(
-      bytes, static_cast<std::size_t>(std::numeric_limits<int>::max())));
-  // Best effort: the kernel clamps to its rmem/wmem limits, and the
-  // partial-I/O pumps are correct at any buffer size.
-  (void)::setsockopt(fd, SOL_SOCKET, opt, &v, sizeof(v));
+/// The build-time options of an endpoint of a mesh whose data path is the
+/// fds, applied once per endpoint: non-blocking mode and one SO_SNDBUF and
+/// one SO_RCVBUF request. Best effort: the kernel clamps the sizes to its
+/// wmem/rmem limits, and the partial-I/O pumps are correct at any size. No
+/// stage resizes them, so what a stage finds does not depend on earlier
+/// traffic.
+void apply_endpoint_options(int fd) {
+  set_nonblocking(fd);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kKernelBufBytes,
+                     sizeof(kKernelBufBytes));
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kKernelBufBytes,
+                     sizeof(kKernelBufBytes));
 }
 
 using Clock = std::chrono::steady_clock;
@@ -164,10 +162,6 @@ bool connect_retryable(int err) {
 void Mesh::build(int nprocs) {
   nprocs_ = nprocs;
   teardown();
-  const std::size_t n2 =
-      static_cast<std::size_t>(nprocs) * static_cast<std::size_t>(nprocs);
-  snd_grown_to_.assign(n2, 0);
-  rcv_grown_to_.assign(n2, 0);
   try {
     do_build(nprocs);
   } catch (...) {
@@ -179,32 +173,6 @@ void Mesh::build(int nprocs) {
   }
   ++builds_;
   dirty_.store(false, std::memory_order_relaxed);
-}
-
-void Mesh::grow_kernel_buffer(int pid, int peer, bool send_side,
-                              std::size_t stage_bytes) {
-  if (cfg_.socket_buffer_bytes != 0) return;  // pinned at build time
-  const std::size_t want = std::min(stage_bytes, kMaxKernelBufBytes);
-  std::size_t& mark = send_side ? snd_grown_to_[mark_index(pid, peer)]
-                                : rcv_grown_to_[mark_index(pid, peer)];
-  if (want <= mark) return;
-  mark = want;
-  request_kernel_buf(fd(pid, peer), send_side ? SO_SNDBUF : SO_RCVBUF, want);
-}
-
-void Mesh::seed_buffer_marks(int pid, int peer) {
-  const int f = fd(pid, peer);
-  snd_grown_to_[mark_index(pid, peer)] = kernel_buf_bytes(f, SO_SNDBUF);
-  rcv_grown_to_[mark_index(pid, peer)] = kernel_buf_bytes(f, SO_RCVBUF);
-}
-
-void Mesh::apply_endpoint_options(int fd) const {
-  set_nonblocking(fd);
-  if (cfg_.socket_buffer_bytes != 0) {
-    // Pinned mode: one explicit request per endpoint, no adaptive growth.
-    request_kernel_buf(fd, SO_SNDBUF, cfg_.socket_buffer_bytes);
-    request_kernel_buf(fd, SO_RCVBUF, cfg_.socket_buffer_bytes);
-  }
 }
 
 // ------------------------------------------------------------ SocketpairMesh
@@ -237,8 +205,6 @@ void SocketpairMesh::do_build(int nprocs) {
       apply_endpoint_options(sv[1]);
       fd_[i * p + j] = sv[0];
       fd_[j * p + i] = sv[1];
-      seed_buffer_marks(static_cast<int>(i), static_cast<int>(j));
-      seed_buffer_marks(static_cast<int>(j), static_cast<int>(i));
     }
   }
 }
@@ -538,14 +504,13 @@ RankMesh::Endpoint TcpMesh::listener(int rank) const {
   return ep;
 }
 
-void TcpMesh::link(int fd, int peer) {
+void TcpMesh::link(int fd, int /*peer*/) {
   // The staged exchange writes small control sections (24 B preamble)
   // followed by bulk payload; Nagle would hold the control bytes hostage to
   // the previous stage's ACKs.
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   apply_endpoint_options(fd);
-  seed_buffer_marks(cfg_.rank, peer);
 }
 
 // ----------------------------------------------------------------- ShmMesh

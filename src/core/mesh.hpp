@@ -2,12 +2,13 @@
 //
 // A Mesh owns the endpoint fds of the paper's Appendix B.3 interconnect —
 // one full-duplex stream per (pid, peer) pair — and everything about their
-// lifecycle: build and teardown, the wire-dirty rebuild contract, and kernel
-// buffer sizing. It knows nothing about the staged exchange protocol; the
-// staged-exchange engine (core/exchange_engine.hpp) pumps bytes through
-// whatever fds the mesh hands it. This is the seam that lets the same v2
-// sectioned wire format run over in-process AF_UNIX socketpairs, over
-// AF_INET/TCP between separate OS processes, and over shared-memory rings.
+// lifecycle: build and teardown, the wire-dirty rebuild contract, and the
+// endpoint options (non-blocking mode, kernel buffer sizes). It knows
+// nothing about the staged exchange protocol; the staged-exchange engine
+// (core/exchange_engine.hpp) pumps bytes through whatever fds the mesh hands
+// it. This is the seam that lets the same v2 sectioned wire format run over
+// in-process AF_UNIX socketpairs, over AF_INET/TCP between separate OS
+// processes, and over shared-memory rings.
 //
 // Three meshes, two bootstraps:
 //
@@ -37,10 +38,11 @@
 // rebuilds from scratch. Clean runs reuse the mesh as-is — builds() stays
 // flat, which the reuse tests assert.
 //
-// Kernel buffer sizing lives here because it is an endpoint property: the
-// engine reports each stage's expected byte count and the mesh grows
-// SO_SNDBUF/SO_RCVBUF toward it, grow-only per (pid, peer) direction and
-// bounded, unless Config::socket_buffer_bytes pinned the size at build.
+// Kernel buffers are sized once, at build: every socketpair and TCP
+// endpoint requests the same SO_SNDBUF and SO_RCVBUF (4 MiB, which the
+// kernel clamps to its limits), so a stage's cost never depends on the
+// traffic of earlier stages. ShmMesh's fds carry no data and keep the
+// kernel's defaults.
 #pragma once
 
 #include <sys/socket.h>
@@ -75,10 +77,10 @@ struct RankHello {
 };
 static_assert(sizeof(RankHello) == 24, "rank handshake layout drifted");
 
-/// Abstract endpoint mesh: fd lifecycle + buffer sizing for one run
-/// topology. Not thread-safe except where noted (mark_dirty may be called
-/// from concurrently failing workers; everything else is single-threaded
-/// between runs or per-pid during a run).
+/// Abstract endpoint mesh: the fd lifecycle of one run topology. Not
+/// thread-safe except where noted (mark_dirty may be called from
+/// concurrently failing workers; everything else is single-threaded between
+/// runs or per-pid during a run).
 class Mesh {
  public:
   explicit Mesh(const Config& cfg) : cfg_(cfg) {}
@@ -113,14 +115,6 @@ class Mesh {
   /// read. Marks the wire dirty.
   virtual void kill_endpoints(int pid) = 0;
 
-  /// Grow-only SO_SNDBUF/SO_RCVBUF request toward `stage_bytes` for pid's
-  /// endpoint with peer (adaptive mode only; no-op when pinned or when the
-  /// high-water mark already covers it). Virtual because ShmMesh has no
-  /// kernel buffers to size — its fds are a control channel, not the data
-  /// path.
-  virtual void grow_kernel_buffer(int pid, int peer, bool send_side,
-                                  std::size_t stage_bytes);
-
   /// Shared-memory view of pid's pair with peer, or nullptr for meshes whose
   /// data path is the fds themselves. A non-null view switches the exchange
   /// engine onto the zero-syscall ring pumps (core/shm_ring.hpp).
@@ -147,31 +141,10 @@ class Mesh {
   /// build() handles teardown and bookkeeping.
   virtual void do_build(int nprocs) = 0;
 
-  /// Seeds the grow-only marks of (pid, peer) with what the kernel granted
-  /// the endpoint at build, so stages that fit the default buffers never
-  /// touch setsockopt.
-  void seed_buffer_marks(int pid, int peer);
-
-  /// Applies the per-endpoint build-time socket options of the meshes whose
-  /// data path is the fds: non-blocking mode and, when
-  /// Config::socket_buffer_bytes pins the kernel buffers, one explicit
-  /// SO_SNDBUF/SO_RCVBUF request.
-  void apply_endpoint_options(int fd) const;
-
   const Config cfg_;
   int nprocs_ = 0;
 
  private:
-  [[nodiscard]] std::size_t mark_index(int pid, int peer) const {
-    return static_cast<std::size_t>(pid) * static_cast<std::size_t>(nprocs_) +
-           static_cast<std::size_t>(peer);
-  }
-
-  // Grow-only high-water marks of requested kernel buffer sizes, indexed
-  // pid * nprocs + peer, so adaptive sizing costs at most O(log stage bytes)
-  // setsockopt calls per endpoint direction.
-  std::vector<std::size_t> snd_grown_to_;
-  std::vector<std::size_t> rcv_grown_to_;
   std::atomic<bool> dirty_{true};
   std::uint64_t builds_ = 0;
 };
@@ -321,8 +294,6 @@ class ShmMesh final : public RankMesh {
   ~ShmMesh() override { ShmMesh::teardown(); }
 
   void teardown() override;
-  /// The data path is shared memory; there are no kernel buffers to size.
-  void grow_kernel_buffer(int, int, bool, std::size_t) override {}
   [[nodiscard]] ShmPairView* shm_pair(int pid, int peer) override;
 
  protected:

@@ -113,11 +113,6 @@ class Transport {
   /// which is exactly the synchronisation a barrier would provide.
   [[nodiscard]] virtual bool needs_boundary_barriers() const = 0;
 
-  /// True when steady-state supersteps are served entirely by slab recycling
-  /// (SlabPool::fresh_allocations() freezes after warm-up). The conformance
-  /// suite asserts this for transports that promise it.
-  [[nodiscard]] virtual bool steady_state_zero_alloc() const = 0;
-
   /// Rebuilds per-run state. Called once per Runtime::run(), after the
   /// worker states are rebuilt and before any worker thread starts.
   /// Destroying the previous run's arenas here releases their slabs into

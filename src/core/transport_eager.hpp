@@ -25,7 +25,6 @@ class EagerTransport final : public detail::TransportBase {
 
   [[nodiscard]] const char* name() const override { return "eager"; }
   [[nodiscard]] bool needs_boundary_barriers() const override { return true; }
-  [[nodiscard]] bool steady_state_zero_alloc() const override { return true; }
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;

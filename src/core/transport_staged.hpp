@@ -63,7 +63,6 @@ class StagedTransport final : public detail::TransportBase {
     return to_string(cfg_.delivery);
   }
   [[nodiscard]] bool needs_boundary_barriers() const override { return false; }
-  [[nodiscard]] bool steady_state_zero_alloc() const override { return true; }
 
   void reset_run(const std::vector<std::unique_ptr<detail::WorkerState>>&
                      states) override;

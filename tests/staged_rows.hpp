@@ -227,6 +227,62 @@ inline void steady_state_makes_zero_allocations(const RankConfig& cfg_of) {
   });
 }
 
+/// One SOL_SOCKET option of `fd`, read as an int.
+inline int socket_option(int fd, int opt) {
+  int v = 0;
+  socklen_t len = sizeof(v);
+  EXPECT_EQ(::getsockopt(fd, SOL_SOCKET, opt, &v, &len), 0);
+  return v;
+}
+
+/// SO_SNDBUF, then SO_RCVBUF, of every endpoint `rt` owns, in (pid, peer)
+/// order.
+inline std::vector<int> kernel_buffers(Runtime& rt) {
+  std::vector<int> out;
+  const int p = rt.config().nprocs;
+  for (int pid = 0; pid < p; ++pid) {
+    for (int peer = 0; peer < p; ++peer) {
+      const int fd = staged(rt).debug_raw_fd(pid, peer);
+      if (fd < 0) continue;  // self, or a rank another process owns
+      out.push_back(socket_option(fd, SO_SNDBUF));
+      out.push_back(socket_option(fd, SO_RCVBUF));
+    }
+  }
+  return out;
+}
+
+/// Kernel buffers carry no history. p = 2: every endpoint's SO_SNDBUF and
+/// SO_RCVBUF read the same after eight supersteps of small messages as
+/// after one more superstep whose stages exceed the 4 MiB the mesh requests
+/// at build, and no reading is below what a fresh stream socket of the
+/// endpoint's family gets by default.
+inline void kernel_buffers_are_history_independent(const RankConfig& cfg_of) {
+  on_runtimes(2, cfg_of, [](Runtime& rt) {
+    rt.run([](Worker& w) {
+      for (int s = 0; s < 8; ++s) marked_superstep(w, s, {16, 100});
+    });
+    const std::vector<int> after_small = kernel_buffers(rt);
+    rt.run([](Worker& w) {
+      marked_superstep(w, 0, {(std::size_t{4} << 20) + 4096});
+    });
+    EXPECT_EQ(kernel_buffers(rt), after_small)
+        << "a stage above the buffer request resized the kernel buffers";
+
+    const int me = rt.config().rank;
+    const int fd = staged(rt).debug_raw_fd(me, 1 - me);
+    const int fresh = ::socket(socket_option(fd, SO_DOMAIN), SOCK_STREAM, 0);
+    ASSERT_GE(fresh, 0);
+    const int fresh_buf[2] = {socket_option(fresh, SO_SNDBUF),
+                              socket_option(fresh, SO_RCVBUF)};
+    ::close(fresh);
+    for (std::size_t i = 0; i < after_small.size(); ++i) {
+      EXPECT_GE(after_small[i], fresh_buf[i % 2])
+          << (i % 2 == 0 ? "SO_SNDBUF" : "SO_RCVBUF") << " of endpoint "
+          << i / 2 << " is below a fresh socket's default";
+    }
+  });
+}
+
 /// A plan with one rule: an injected EINTR at rank 0's PollCall site.
 inline FaultPlan poll_eintr_on_rank0() {
   FaultRule r;

@@ -549,15 +549,5 @@ TEST(CollectivesExtra, ShmSelectorDefaultsTrackTheMeasuredFits) {
             default_collective_l_us(DeliveryStrategy::Deferred, 4));
 }
 
-TEST(CollectivesExtra, ConfigRejectsNegativeCollectiveParams) {
-  Config cfg;
-  cfg.nprocs = 2;
-  cfg.collective_g_us = -1.0;
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-  cfg.collective_g_us = 0.0;
-  cfg.collective_l_us = -0.5;
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace gbsp

@@ -480,10 +480,6 @@ TEST_P(RuntimeSemantics, SteadyStateSuperstepsMakeZeroAllocations) {
   // its slabs, so identical later supersteps must be served entirely by
   // recycling — the pool's fresh-allocation counter freezes.
   Runtime rt(make_config());
-  if (!rt.transport().steady_state_zero_alloc()) {
-    GTEST_SKIP() << "transport " << rt.transport().name()
-                 << " does not promise a zero-allocation steady state";
-  }
   const int p = rt.config().nprocs;
   std::atomic<std::uint64_t> fresh_after_warmup{0};
   auto step = [p](Worker& w) {

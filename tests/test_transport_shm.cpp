@@ -629,7 +629,6 @@ TEST(ShmRuntime, ZeroCopyEpochsRecycleAndGuardReuse) {
     Config cfg = rank_cfg(r, p, name);
     cfg.shm_ring_bytes = std::size_t{256} << 10;
     cfg.shm_slab_bytes = std::size_t{128} << 10;  // 64 KiB epoch halves
-    cfg.shm_inline_threshold = 1024;
     Runtime rt(cfg);
     const RunStats stats = rt.run([steps](Worker& w) {
       // 24 x 4 KiB = 96 KiB staged per superstep: overflows the 64 KiB

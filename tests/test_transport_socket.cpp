@@ -143,13 +143,19 @@ TEST(SocketWireBytes, SerializedDriverReportsTheSameWireTraffic) {
 }
 
 TEST(SocketLargeTransfers, ExceedKernelBuffersWithoutDeadlock) {
-  // 2 MiB per direction dwarfs an AF_UNIX socket buffer, forcing many
-  // partial writes interleaved with reads — the full-duplex pump must never
+  // Each direction carries three times the SO_SNDBUF the kernel granted the
+  // endpoint at build, so no single sendmsg can take the stage: partial
+  // writes must interleave with reads, and the full-duplex pump must never
   // deadlock on a full send buffer. Run both scheduling modes.
   for (auto sched : {Scheduling::Parallel, Scheduling::Serialized}) {
     Runtime rt(socket_config(2, sched));
-    rt.run([](Worker& w) {
-      std::vector<std::uint64_t> big((2u << 20) / sizeof(std::uint64_t));
+    rt.run(staged_rows::ping(1));  // builds the mesh
+    const int sndbuf = staged_rows::socket_option(
+        staged_rows::staged(rt).debug_raw_fd(0, 1), SO_SNDBUF);
+    const std::size_t words =
+        3 * static_cast<std::size_t>(sndbuf) / sizeof(std::uint64_t) + 1;
+    const RunStats stats = rt.run([words](Worker& w) {
+      std::vector<std::uint64_t> big(words);
       for (std::size_t i = 0; i < big.size(); ++i) {
         big[i] = i * 2654435761u + static_cast<std::uint64_t>(w.pid());
       }
@@ -165,6 +171,10 @@ TEST(SocketLargeTransfers, ExceedKernelBuffersWithoutDeadlock) {
         ASSERT_EQ(got[i], i * 2654435761u + other) << i;
       }
     });
+    // A direction that fits its buffer takes four byte-moving calls: one
+    // sendmsg, then reads of the preamble, the header block and the payload.
+    EXPECT_GT(stats.total_wire_syscalls(), 2u * 4u)
+        << "the stage crossed without a partial write";
   }
 }
 
@@ -297,6 +307,11 @@ TEST(SocketLifecycle, SteadyStateMakesZeroAllocations) {
       [](int) { return socket_config(3); });
 }
 
+TEST(SocketLifecycle, KernelBuffersAreHistoryIndependent) {
+  staged_rows::kernel_buffers_are_history_independent(
+      [](int) { return socket_config(2); });
+}
+
 TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   // A run that unwinds mid-stage may strand half-written stage bytes in
   // kernel buffers; the next run must get fresh sockets, and runs after
@@ -379,19 +394,18 @@ TEST(SocketValidation, NonzeroHeaderPadIsDiagnosed) {
 }
 
 TEST(SocketValidation, OversizedFrameLenIsDiagnosed) {
-  // A header claiming more payload than socket_max_frame_bytes allows must
-  // be rejected as corruption instead of sizing an arena append from it.
-  Config cfg = socket_config(2);
-  cfg.socket_max_frame_bytes = 4096;
+  // A header claiming more payload than the 1 GiB frame cap allows must be
+  // rejected as corruption instead of sizing an arena append from it.
+  const std::uint64_t len = detail::kMaxFrameBytes + 1;
   std::vector<std::uint8_t> garbage;
-  put_u64(garbage, 1);     // count
-  put_u64(garbage, 16);    // header_bytes
-  put_u64(garbage, 8192);  // payload_bytes
-  put_u32(garbage, 0);     // seq
-  put_u32(garbage, 0);     // pad
-  put_u64(garbage, 8192);  // len — above the cap
-  const std::string what = garbled_stream_error(cfg, garbage);
-  EXPECT_NE(what.find("socket_max_frame_bytes"), std::string::npos) << what;
+  put_u64(garbage, 1);    // count
+  put_u64(garbage, 16);   // header_bytes
+  put_u64(garbage, len);  // payload_bytes
+  put_u32(garbage, 0);    // seq
+  put_u32(garbage, 0);    // pad
+  put_u64(garbage, len);  // len — above the cap
+  const std::string what = garbled_stream_error(socket_config(2), garbage);
+  EXPECT_NE(what.find("frame cap"), std::string::npos) << what;
 }
 
 TEST(SocketValidation, InconsistentPreambleIsDiagnosed) {
@@ -406,36 +420,36 @@ TEST(SocketValidation, InconsistentPreambleIsDiagnosed) {
 }
 
 TEST(SocketValidation, OversizedSendIsRejectedAtTheSendCall) {
-  // The sender-side mirror of the receive cap: the offending send() throws
-  // in the worker that issued it, not as corruption on the peer.
-  Config cfg = socket_config(2);
-  cfg.socket_max_frame_bytes = 1024;
-  Runtime rt(cfg);
+  // The sender-side mirror of the receive cap: the offending send throws
+  // in the worker that made it, before anything is allocated, not as
+  // corruption on the peer.
+  Runtime rt(socket_config(2));
   try {
     rt.run([](Worker& w) {
-      std::vector<std::uint8_t> big(2048, 1);
-      if (w.pid() == 0) w.send_bytes(1, big.data(), big.size());
+      if (w.pid() == 0) (void)w.send_reserve(1, detail::kMaxFrameBytes + 1);
       w.sync();
     });
     FAIL() << "oversized send was not rejected";
   } catch (const BspTransportError& e) {
-    EXPECT_NE(std::string(e.what()).find("socket_max_frame_bytes"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("frame cap"), std::string::npos)
         << e.what();
   }
 }
 
 TEST(SocketLargeTransfers, TinyKernelBuffersStillDeliverExactly) {
-  // socket_buffer_bytes = 1 pins SO_SNDBUF/SO_RCVBUF at the kernel's floor
-  // (a few KiB), so every section of the wire format tears: torn preambles,
-  // header blocks split across reads, and payload iovecs consumed a few
-  // entries per syscall. Contents must still arrive byte-exact, in both
-  // scheduling modes.
+  // Injected short I/O stands in for kernel buffers of a couple of dozen
+  // bytes: every send moves at most 23 bytes and every receive at most 19,
+  // both below the 24-byte preamble and coprime with the 16-byte header. So
+  // every section of the wire format tears: preambles on both ends, header
+  // blocks mid-header, and payload iovecs part of an entry per call.
+  // Contents must still arrive byte-exact, in both scheduling modes, with
+  // no retry.
   for (auto sched : {Scheduling::Parallel, Scheduling::Serialized}) {
-    Config cfg = socket_config(2, sched);
-    cfg.socket_buffer_bytes = 1;
-    Runtime rt(cfg);
-    rt.run([](Worker& w) {
+    Runtime rt(socket_config(2, sched));
+    rt.set_fault_plan(parse_fault_plan(
+        "site=send,kind=short,arg=23,prob=1;"
+        "site=recv,kind=short,arg=19,prob=1"));
+    const RunStats stats = rt.run([](Worker& w) {
       const int me = w.pid();
       const int peer = 1 - me;
       for (int r = 0; r < 3; ++r) {
@@ -477,6 +491,8 @@ TEST(SocketLargeTransfers, TinyKernelBuffersStillDeliverExactly) {
         ASSERT_EQ(got_small, 200u) << "round " << r;
       }
     });
+    EXPECT_GT(rt.fault_injector()->fired(), 0u);
+    EXPECT_EQ(stats.recoveries, 0u);
   }
 }
 
@@ -484,7 +500,6 @@ TEST(SocketTransportCapabilities, DeclaresItsContract) {
   Runtime rt(socket_config(2));
   EXPECT_STREQ(rt.transport().name(), "socket");
   EXPECT_FALSE(rt.transport().needs_boundary_barriers());
-  EXPECT_TRUE(rt.transport().steady_state_zero_alloc());
 }
 
 }  // namespace

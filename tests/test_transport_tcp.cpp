@@ -295,15 +295,25 @@ TEST(TcpRuntime, SteadyStateMakesZeroAllocations) {
       [base](int r) { return rank_cfg(r, 3, base); });
 }
 
+TEST(TcpRuntime, KernelBuffersAreHistoryIndependent) {
+  const int base = port_base(23);
+  staged_rows::kernel_buffers_are_history_independent(
+      [base](int r) { return rank_cfg(r, 2, base); });
+}
+
 TEST(TcpRuntime, LargeFramesCrossTheMesh) {
-  // Payloads far beyond the kernel's default socket buffers force the
-  // partial-I/O resume paths and the grow-only buffer autotuning.
+  // Each way carries three times the SO_SNDBUF the kernel granted the
+  // endpoint at build, so the partial-I/O resume paths run.
   const int p = 2;
   const int base = port_base(11);
-  const std::size_t big = std::size_t{3} << 20;  // 3 MiB each way
+  std::atomic<std::uint64_t> syscalls{0};
   on_ranks(p, [&](int r) {
     Runtime rt(rank_cfg(r, p, base));
-    rt.run([big](Worker& w) {
+    rt.run(staged_rows::ping(1));  // builds the mesh
+    const std::size_t big =
+        3 * static_cast<std::size_t>(staged_rows::socket_option(
+                staged_rows::staged(rt).debug_raw_fd(r, 1 - r), SO_SNDBUF));
+    const RunStats stats = rt.run([big](Worker& w) {
       std::vector<std::uint8_t> blob(big);
       for (std::size_t i = 0; i < blob.size(); ++i) {
         blob[i] = static_cast<std::uint8_t>((i * 131 + w.pid()) & 0xff);
@@ -323,7 +333,12 @@ TEST(TcpRuntime, LargeFramesCrossTheMesh) {
         }
       }
     });
+    syscalls += stats.total_wire_syscalls();
   });
+  // A direction that fits its buffers takes four byte-moving calls: one
+  // sendmsg, then reads of the preamble, the header block and the payload.
+  EXPECT_GT(syscalls.load(), 2u * 4u)
+      << "the stage crossed without partial I/O";
 }
 
 TEST(TcpRuntime, PollSiteFiresWhileWaiting) {
