@@ -57,7 +57,19 @@ bool SpinSchedule::turn(Wait& w) const {
 }
 
 Barrier::Barrier(int nprocs, const std::atomic<bool>* abort_flag)
-    : nprocs_(nprocs), abort_(abort_flag), spin_(nprocs) {}
+    : abort_(abort_flag),
+      spin_(nprocs),
+      expected_(nprocs),
+      remaining_(nprocs) {}
+
+bool Barrier::arrive() {
+  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+  // Every arrival of this phase, a drop's included, is ordered before this
+  // last one, so expected_ already counts out each participant that left.
+  remaining_.store(expected_.load(), std::memory_order_relaxed);
+  advance();
+  return true;
+}
 
 void Barrier::advance() {
   // A sequentially consistent increment: notify_all skips the futex wake
@@ -77,11 +89,7 @@ void Barrier::arrive_and_wait(int /*pid*/) {
     }
   };
   throw_if_aborted();
-  if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == nprocs_) {
-    count_.store(0, std::memory_order_relaxed);
-    advance();
-    return;
-  }
+  if (arrive()) return;
   SpinSchedule::Wait wait;
   while (generation_.load(std::memory_order_acquire) == gen) {
     if (!spin_.turn(wait)) {
@@ -90,6 +98,11 @@ void Barrier::arrive_and_wait(int /*pid*/) {
     }
   }
   throw_if_aborted();
+}
+
+void Barrier::arrive_and_drop() {
+  expected_.fetch_sub(1);
+  arrive();
 }
 
 void Barrier::wake_on_abort() { advance(); }

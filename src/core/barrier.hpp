@@ -55,8 +55,10 @@ class SpinSchedule {
   bool cpu_per_participant_;
 };
 
-/// Barrier for a fixed set of `nprocs` participants, reusable across
-/// supersteps until an abort, which leaves it spent.
+/// Barrier for `nprocs` participants, reusable across supersteps until an
+/// abort, which leaves it spent. As with std::barrier, a participant that
+/// leaves calls arrive_and_drop(), and every later phase waits for one
+/// fewer.
 class Barrier {
  public:
   /// `abort_flag` may be null (no abort); otherwise whoever raises it must
@@ -67,17 +69,25 @@ class Barrier {
   /// BspAborted if the abort flag is raised before or while waiting.
   void arrive_and_wait(int pid);
 
+  /// Arrives at the current phase without waiting and leaves the barrier:
+  /// later phases no longer count this participant.
+  void arrive_and_drop();
+
   /// Moves the generation word so every waiter — spinning, yielding or
   /// parked — returns and sees the abort flag, which must already be raised.
   void wake_on_abort();
 
  private:
+  /// Counts one arrival. The last of a phase re-arms the count for the next
+  /// phase, advances the generation, and returns true.
+  bool arrive();
   void advance();
 
-  const int nprocs_;
   const std::atomic<bool>* const abort_;
   const SpinSchedule spin_;
-  alignas(64) std::atomic<int> count_{0};
+  // Participants of the next phase; arrive_and_drop lowers it.
+  std::atomic<int> expected_;
+  alignas(64) std::atomic<int> remaining_;  // arrivals this phase still needs
   alignas(64) std::atomic<std::uint32_t> generation_{0};
 };
 

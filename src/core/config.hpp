@@ -12,10 +12,14 @@ enum class Scheduling {
   /// One OS thread per BSP processor, truly concurrent. This is the
   /// production mode and the analogue of the paper's shared-memory library.
   Parallel,
-  /// Processors run one at a time (baton passing). This is the paper's
-  /// "simulating the parallel computation on a single processor" methodology
-  /// (Section 3): it yields clean per-processor work measurements on hosts
-  /// with fewer cores than BSP processors, and feeds the machine emulator.
+  /// One thread per processor, but no two processors compute at once: a
+  /// worker holds the runtime's one compute token for each work slice and
+  /// gives it up at its boundary, whose barrier and exchange run exactly as
+  /// in Parallel mode. This is the paper's "simulating the parallel
+  /// computation on a single processor" methodology (Section 3): it yields
+  /// clean per-processor work measurements on hosts with fewer cores than
+  /// BSP processors, and feeds the machine emulator. In-process transports
+  /// only.
   Serialized,
 };
 
@@ -182,9 +186,9 @@ struct Config {
   /// Per-superstep watchdog: when nonzero, a monitor thread aborts the run
   /// with BspTransportError if no worker completes a superstep boundary for
   /// this long — catching wedges the transports cannot see (a peer stuck
-  /// before its first send, an in-memory exchange waiting on a worker that
-  /// exited early). The deadline must exceed the longest legitimate
-  /// superstep, compute included. 0 = off.
+  /// before its first send, an in-memory barrier waiting on a worker
+  /// blocked forever in its own code). The deadline must exceed the longest
+  /// legitimate superstep, compute included. 0 = off.
   std::size_t superstep_deadline_ms = 0;
 };
 
@@ -225,8 +229,8 @@ inline void validate_config(const Config& cfg) {
     if (cfg.scheduling == Scheduling::Serialized) {
       throw std::invalid_argument(
           "gbsp: Serialized scheduling is incompatible with the " + transport +
-          " transport (one process hosts one rank; there is no global "
-          "exchange to serialize)");
+          " transport (one process hosts one rank; the compute token that "
+          "serializes the workers is shared within one process)");
     }
     if (cfg.rank < 0 || cfg.rank >= cfg.nprocs) {
       throw std::invalid_argument(

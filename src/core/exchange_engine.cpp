@@ -721,57 +721,38 @@ void ExchangeEngine::begin_window(WorkerState& st) {
   }
 }
 
-void ExchangeEngine::finish_windows(std::span<const Window> ws) {
-  Waiter& wait = ws.front().eng->waiter_;
-  wait.progressed();
-  for (;;) {
-    std::size_t moved = 0;
-    bool done = true;
-    for (const Window& w : ws) {
-      moved += w.eng->pump_window(*w.st);
-      done = done && w.eng->window_done();
-    }
-    if (done) return;
-    if (moved != 0) {
-      wait.progressed();
-    } else {
-      wait.step(ws);
+void ExchangeEngine::finish_window(WorkerState& st) {
+  waiter_.progressed();
+  while (!split_done_) {
+    if (pump_window(st) != 0) {
+      waiter_.progressed();
+    } else if (!split_done_) {
+      waiter_.step(*this, st);
     }
   }
 }
 
-void Waiter::step(std::span<const Window> ws) {
+void Waiter::step(ExchangeEngine& e, WorkerState& st) {
   if (abort_ != nullptr && abort_->load(std::memory_order_acquire)) {
     throw BspAborted{};
   }
-  if (cfg_->scheduling == Scheduling::Parallel && spin_.turn(wait_)) return;
-  // Park. The first window in flight names a timeout or a failed poll.
-  const Window& first =
-      *std::find_if(ws.begin(), ws.end(),
-                    [](const Window& w) { return !w.eng->window_done(); });
-  const ExchangeEngine& fe = *first.eng;
+  if (spin_.turn(wait_)) return;
+  const int peer = e.recv_peer(e.split_ss_);
   const std::chrono::milliseconds limit(cfg_->socket_stage_timeout_ms);
   const auto idle = std::chrono::steady_clock::now() - wait_.start;
   if (idle >= limit) {
-    fe.idle_failure(*first.st,
-                    "stage made no progress for " +
-                        std::to_string(cfg_->socket_stage_timeout_ms) +
-                        " ms (peer dead or wedged)",
-                    fe.recv_peer(fe.split_ss_), 0);
+    e.idle_failure(st,
+                   "stage made no progress for " +
+                       std::to_string(cfg_->socket_stage_timeout_ms) +
+                       " ms (peer dead or wedged)",
+                   peer, 0);
   }
   // An injected EINTR/EAGAIN, like a ring that moved before its flag went
-  // up, skips the poll; finish_windows re-pumps and parks again.
-  bool skip = false;
+  // up, skips the poll; finish_window re-pumps and parks again.
   fds_.assign(1, pollfd{abort_fd_, POLLIN, 0});
-  for (const Window& w : ws) {
-    ExchangeEngine& e = *w.eng;
-    if (e.window_done()) continue;
-    skip = e.syscall_fault(*w.st, e.split_ss_, FaultSite::PollCall,
-                           e.recv_peer(e.split_ss_), 0)
-               .has_value() ||
-           skip;
-    skip = e.add_park_fds(fds_) || skip;
-  }
+  bool skip = e.syscall_fault(st, e.split_ss_, FaultSite::PollCall, peer, 0)
+                  .has_value();
+  skip = e.add_park_fds(fds_) || skip;
   const auto left = std::chrono::ceil<std::chrono::milliseconds>(limit - idle);
   if (!skip &&
       ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
@@ -780,12 +761,9 @@ void Waiter::step(std::span<const Window> ws) {
     // A real poll failure (EBADF after an injected hangup, ENOMEM) must be
     // diagnosed, not spun on: retrying would busy-loop until the stage
     // timeout with no chance of progress.
-    fe.idle_failure(*first.st, "poll on stage sockets failed",
-                    fe.recv_peer(fe.split_ss_), errno);
+    e.idle_failure(st, "poll on stage sockets failed", peer, errno);
   }
-  for (const Window& w : ws) {
-    if (!w.eng->window_done() && w.eng->end_park(*w.st)) progressed();
-  }
+  if (e.end_park(st)) progressed();
 }
 
 }  // namespace detail

@@ -40,11 +40,10 @@
 // itself kept the machines in step. Stream framing keeps consecutive
 // supersteps unambiguous even when one worker runs ahead.
 //
-// One loop pumps every boundary: pump_window advances an open window
-// through the schedule without blocking, and finish_windows runs it to the
-// end — one window per worker in Parallel mode, every hosted rank's window
-// at once in Serialized mode — taking one Waiter step (below, which holds
-// the whole waiting policy) whenever a round of pumps moves nothing.
+// One loop pumps every boundary, in both scheduling modes: pump_window
+// advances the worker's open window through the schedule without blocking,
+// and finish_window runs it to the end, taking one Waiter step (below,
+// which holds the whole waiting policy) whenever a pump moves nothing.
 //
 // Links: attach() picks each pair's data path once. When the mesh exposes a
 // shared-memory pair view (Mesh::shm_pair, non-null for ShmMesh) the pair is
@@ -83,7 +82,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -130,41 +128,32 @@ static_assert(sizeof(StagePreamble) == 24, "wire preamble layout drifted");
 
 class ExchangeEngine;
 
-/// One rank's open boundary window, as finish_windows sees it.
-struct Window {
-  ExchangeEngine* eng;
-  WorkerState* st;
-};
-
-/// The one idle-wait step of the staged exchange. finish_windows pumps its
-/// open windows, calls progressed() when a round moved bytes and step() when
-/// a whole round moved none. The waiting policy, all of it:
+/// The one idle-wait step of the staged exchange. finish_window pumps the
+/// open window, calls progressed() when a pump moved bytes and step() when
+/// one moved none. The waiting policy, all of it:
 ///
 ///  * Abort. Every step checks the runtime's abort flag and unwinds with
 ///    BspAborted.
-///  * Spin. A Parallel wait runs the Barrier's spin schedule (SpinSchedule,
+///  * Spin. A wait runs the Barrier's spin schedule (SpinSchedule,
 ///    core/barrier.hpp) from the last progress, counting Config::nprocs
-///    participants, since in every mode the ranks share this host's CPUs:
-///    each step pauses or yields once, and the windows are re-pumped at
-///    once. A Serialized exchange parks without spinning: its one thread
-///    drives every window, so nothing can move while it spins.
+///    participants, since the ranks share this host's CPUs: each step
+///    pauses or yields once, and the window is re-pumped at once.
 ///  * Timeout. Past the spin, a step idle for Config::socket_stage_timeout_ms
 ///    since the last progress throws BspTransportError ("stage made no
-///    progress"), naming the first window still in flight.
-///  * Fault site. Every window in flight then consults the PollCall site: an
-///    injected EINTR/EAGAIN skips this park, a delay stalls it, an abort
-///    throws.
+///    progress"), naming the stage's receive peer.
+///  * Fault site. The window then consults the PollCall site: an injected
+///    EINTR/EAGAIN skips this park, a delay stalls it, an abort throws.
 ///  * Park. One poll() that only an event ends, for at most the time left
 ///    before the timeout. It holds the transport's abort eventfd, which the
-///    runtime signals on every abort, and per window in flight: on fd links
+///    runtime signals on every abort, and the in-flight stage's: on fd links
 ///    the stage fds (POLLOUT toward an unfinished send, POLLIN from an
 ///    unfinished receive); on ring links the control streams of the stage's
-///    peers. Before it polls a ring window raises this rank's parked flags
-///    (reader_parked on the ring it reads, writer_parked on the ring it
-///    writes) and re-checks the rings' cursors directly, not through a pump
-///    the fault injector could stall; a moved cursor skips the poll. A peer
-///    that moves a cursor under a raised flag clears it and rings a one-byte
-///    doorbell on the control stream (core/shm_ring.hpp).
+///    peers. Before it polls on a ring link the waiter raises this rank's
+///    parked flags (reader_parked on the ring it reads, writer_parked on the
+///    ring it writes) and re-checks the rings' cursors directly, not through
+///    a pump the fault injector could stall; a moved cursor skips the poll.
+///    A peer that moves a cursor under a raised flag clears it and rings a
+///    one-byte doorbell on the control stream (core/shm_ring.hpp).
 ///  * Wake (ring links). After the poll the flags are lowered and the
 ///    doorbell bytes drained. EOF there alone is not a death: a peer that
 ///    wrote its whole last stage may finish and tear down before this rank
@@ -177,16 +166,16 @@ struct Window {
 class Waiter {
  public:
   /// `abort_fd` is the eventfd the transport signals on abort. The poll set
-  /// has room for every hosted window, so no wait allocates.
+  /// has room for it and the stage's two fds, so no wait allocates.
   Waiter(const Config& cfg, const std::atomic<bool>* abort_flag, int abort_fd)
       : cfg_(&cfg), abort_(abort_flag), abort_fd_(abort_fd), spin_(cfg.nprocs) {
-    fds_.reserve(2 * static_cast<std::size_t>(cfg.nprocs) + 1);
+    fds_.reserve(3);
   }
 
-  /// A round of pumps moved bytes: restarts the idle clock and the spin.
+  /// A pump moved bytes: restarts the idle clock and the spin.
   void progressed() { wait_ = {}; }
-  /// One idle wait over `ws`, of which at least one is still in flight.
-  void step(std::span<const Window> ws);
+  /// One idle wait on `e`'s window, which is still in flight.
+  void step(ExchangeEngine& e, WorkerState& st);
 
  private:
   const Config* cfg_;
@@ -262,12 +251,11 @@ class ExchangeEngine {
 
   [[nodiscard]] bool window_done() const { return split_done_; }
 
-  /// Blocking end of open windows: round-robins pump_window over `ws` (one
-  /// window in Parallel mode, every hosted rank's in Serialized mode) and
-  /// takes one Waiter step whenever a whole round moves nothing, until all
-  /// are done. The in-flight stages pick up exactly where their last pump
-  /// left them; the caller publishes afterwards.
-  static void finish_windows(std::span<const Window> ws);
+  /// Blocking end of the open window: pumps it and takes one Waiter step
+  /// whenever a pump moves nothing, until it is done. The in-flight stage
+  /// picks up exactly where its last pump left it; the caller publishes
+  /// afterwards.
+  void finish_window(WorkerState& st);
 
  private:
   friend class Waiter;
@@ -396,9 +384,7 @@ class ExchangeEngine {
   Mesh* mesh_;
   FaultInjector* const* fault_;
   SlabPool* pool_ = nullptr;
-  // Idle clock and poll set of a finish_windows call whose first window is
-  // this engine's (a Serialized exchange waits on every hosted rank's window
-  // at once).
+  // Idle clock and poll set of finish_window.
   Waiter waiter_;
 
   int pid_ = 0;

@@ -48,7 +48,7 @@ enum class FaultSite {
   RecvCall,  ///< socket transport: before/within recv()/readv() calls
   PollCall,  ///< socket transport: before an idle poll()
   Deliver,   ///< any transport: at the top of boundary delivery for a rank
-  Flush,     ///< any transport: at the sender-side flush hook
+  Flush,     ///< any transport: where begin_exchange seals the sends
 };
 
 /// What the fault does at its site.

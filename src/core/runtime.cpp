@@ -117,6 +117,13 @@ Runtime::Runtime(Config cfg) : cfg_(cfg) {
 Runtime::~Runtime() = default;
 
 void Runtime::begin_work_slice(detail::WorkerState& st) {
+  // No abort check while taking the token: every worker still runs the
+  // slice, so each one that fails reports its own error and the ranking in
+  // record_error holds. As in Parallel mode, a peer's failure is seen at
+  // the next boundary.
+  if (cfg_.scheduling == Scheduling::Serialized) {
+    st.compute_token = std::unique_lock<std::mutex>(compute_token_);
+  }
   st.work_start_ns = ThreadCpuTimer::now_ns();
 }
 
@@ -143,33 +150,20 @@ void Runtime::seal_step(detail::WorkerState& st) {
   }
 }
 
-void Runtime::begin_boundary(detail::WorkerState& st) {
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    // One thread at a time: the exchange runs inside the scheduler at
-    // end_boundary; here the worker only seals its sends.
-    transport_->flush(st);
-  } else {
-    transport_->begin_exchange(st);
-  }
-}
-
 void Runtime::end_boundary(detail::WorkerState& st) {
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_->yield_at_sync(st.pid);  // transport exchange ran inside
-  } else if (transport_->needs_boundary_barriers()) {
-    // Every worker sealed its sends at begin_boundary, so once all arrive
+  // Nothing below may wait on a peer while holding the token.
+  if (st.compute_token) st.compute_token.unlock();
+  if (transport_->needs_boundary_barriers()) {
+    // Every worker sealed its sends at begin_exchange, so once all arrive
     // here this superstep's parity of every sender is quiescent. One barrier
     // is enough: a sender that runs ahead stages into the other parity, and
     // it cannot come back to this one before every receiver has arrived at
     // the next boundary, which is after that receiver finished delivering.
     barrier_->arrive_and_wait(st.pid);
-    transport_->finish_exchange(st);
-  } else {
-    // Self-synchronising transport: finish_exchange blocks until every
-    // peer's data for this boundary has arrived — the exchange is the
-    // barrier.
-    transport_->finish_exchange(st);
   }
+  // On a self-synchronising transport finish_exchange blocks until every
+  // peer's data for this boundary has arrived — the exchange is the barrier.
+  transport_->finish_exchange(st);
   st.superstep += 1;
   progress_.fetch_add(1, std::memory_order_relaxed);
   // The boundary just crossed is a consistent cut: every message sent before
@@ -195,7 +189,7 @@ void Runtime::do_sync(detail::WorkerState& st) {
   // superstep first keeps the exchange out of its work_us and charges the
   // boundary's traffic and faults to the superstep it opens.
   seal_step(st);
-  begin_boundary(st);
+  transport_->begin_exchange(st);
   end_boundary(st);
 }
 
@@ -209,9 +203,7 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
   // Seal before the transport moves anything, as sync() does: the window's
   // traffic and faults accrue to the superstep the boundary opens.
   seal_step(st);
-  // Under Serialized scheduling the window still measures the caller's
-  // overlappable compute, so Serialized traces stay comparable.
-  begin_boundary(st);
+  transport_->begin_exchange(st);
   st.overlap_active = true;
   st.overlap_start_ns = steady_now_ns();
 }
@@ -219,7 +211,6 @@ void Runtime::do_sync_begin(detail::WorkerState& st) {
 bool Runtime::do_sync_progress(detail::WorkerState& st) {
   if (!st.overlap_active) return false;
   if (abort_.load(std::memory_order_acquire)) throw BspAborted{};
-  if (cfg_.scheduling == Scheduling::Serialized) return false;
   return transport_->progress(st);
 }
 
@@ -284,11 +275,6 @@ void Runtime::record_error(std::exception_ptr e, int pid) {
   transport_->wake_on_abort();
 }
 
-void Runtime::report_error(std::exception_ptr e, int pid) {
-  record_error(std::move(e), pid);
-  if (scheduler_) scheduler_->abort();
-}
-
 void Runtime::watchdog_main() {
   using clock = std::chrono::steady_clock;
   const auto deadline = std::chrono::milliseconds(cfg_.superstep_deadline_ms);
@@ -311,7 +297,7 @@ void Runtime::watchdog_main() {
     // Report as a transport error (it is recoverable by retry) from a pid
     // past every real worker, so any concrete per-worker diagnosis wins the
     // tie-break over this generic one.
-    report_error(
+    record_error(
         std::make_exception_ptr(BspTransportError(
             "watchdog: no worker completed a superstep boundary within "
             "superstep_deadline_ms=" +
@@ -329,25 +315,19 @@ void Runtime::worker_main(int local, const std::function<void(Worker&)>& fn) {
   detail::WorkerState& st = *states_[static_cast<std::size_t>(local)];
   Worker w(this, &st);
   detail::current_worker_slot() = &w;
-  bool started = true;
   try {
-    if (scheduler_) scheduler_->start(st.pid);
+    begin_work_slice(st);
+    fn(w);
+    finalize_worker(st);
   } catch (const BspAborted&) {
-    started = false;
+    // Unwound because a peer failed; nothing to report.
+  } catch (...) {
+    record_error(std::current_exception(), st.pid);
   }
-  if (started) {
-    try {
-      begin_work_slice(st);
-      fn(w);
-      finalize_worker(st);
-    } catch (const BspAborted&) {
-      // Unwound because a peer failed; nothing to report.
-    } catch (...) {
-      report_error(std::current_exception(), st.pid);
-    }
-  }
-  st.finished = true;
-  if (scheduler_) scheduler_->finish(st.pid);
+  if (st.compute_token) st.compute_token.unlock();
+  // Peers may keep syncing without this worker. After a failure the abort
+  // flag is up and the barrier spent, so dropping out changes nothing.
+  barrier_->arrive_and_drop();
   detail::current_worker_slot() = nullptr;
 }
 
@@ -385,23 +365,6 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   // wire dirty, so a retry gets a fresh mesh.
   transport_->reset_run(states_);
   barrier_ = std::make_unique<Barrier>(nl, &abort_);
-  scheduler_.reset();
-  if (cfg_.scheduling == Scheduling::Serialized) {
-    scheduler_ = std::make_unique<SerialScheduler>(p, [this, p] {
-      try {
-        transport_->exchange(states_);
-      } catch (const BspAborted&) {
-        throw;  // unwinding for an error already recorded
-      } catch (...) {
-        // The exchange runs under the scheduler's lock, possibly inside its
-        // noexcept finish(): record the error without calling back into the
-        // scheduler, which aborts the round when this rethrows. Like the
-        // watchdog's, the error belongs to no worker.
-        record_error(std::current_exception(), p);
-        throw;
-      }
-    });
-  }
 
   progress_.fetch_add(1, std::memory_order_relaxed);  // attempt start
   watchdog_stop_.store(false, std::memory_order_release);
@@ -437,7 +400,7 @@ RunStats Runtime::run(const std::function<void(Worker&)>& fn) {
   std::size_t attempt = 0;
   while (!run_attempt(fn)) {
     // Only transport errors are recoverable by replay; a program error would
-    // just recur (and masks nothing — report_error classified it primary).
+    // just recur (and masks nothing — record_error classified it primary).
     if (first_error_class_ != 1 || attempt >= cfg_.max_run_retries) {
       std::rethrow_exception(first_error_);
     }

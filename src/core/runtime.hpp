@@ -16,14 +16,21 @@
 //    of superstep i+1, i.e. after the receiver's next sync().
 //  * Message arrival order within a superstep is unspecified unless
 //    Config::deterministic_delivery is set.
-//  * All workers must call sync() the same number of times; messages sent
-//    after the final sync() are an error, diagnosed at worker exit. A
-//    sync_begin()/sync_end() pair is one boundary — it counts as one sync().
+//  * Messages sent after a worker's final sync() are an error, diagnosed at
+//    worker exit. A sync_begin()/sync_end() pair is one boundary — it
+//    counts as one sync().
+//  * On deferred and eager a worker may return while its peers keep
+//    syncing: it leaves the barrier as it returns. Nothing sent to it after
+//    that is delivered, and deferred may report such a send at the sender's
+//    exit as one after the sender's final sync(). On the staged transports
+//    (socket, tcp, shm) every worker must call sync() the same number of
+//    times: a peer's next stage waits for the returned worker and fails
+//    after Config::socket_stage_timeout_ms.
 //
 // Layering: the Runtime owns worker lifecycle, scheduling, the superstep
-// barrier, and instrumentation. All message movement — staging, flushing,
-// boundary exchange — goes through the Transport selected by
-// Config::delivery (core/transport.hpp), which owns every message arena.
+// barrier, and instrumentation. All message movement — staging, boundary
+// exchange — goes through the Transport selected by Config::delivery
+// (core/transport.hpp), which owns every message arena.
 #pragma once
 
 #include <atomic>
@@ -41,7 +48,6 @@
 #include "core/fault.hpp"
 #include "core/message.hpp"
 #include "core/recovery.hpp"
-#include "core/scheduler.hpp"
 #include "core/stats.hpp"
 #include "core/worker_state.hpp"
 
@@ -267,25 +273,23 @@ class Runtime {
   void do_sync_begin(detail::WorkerState& st);
   bool do_sync_progress(detail::WorkerState& st);
   void do_sync_end(detail::WorkerState& st);
-  /// The two halves every boundary shares — rigid sync() and the split
-  /// pair alike: begin_boundary seals the sends and starts the exchange;
-  /// end_boundary completes delivery (after the one barrier, inside the
-  /// staged exchange, or under the scheduler, as the mode requires), bumps
-  /// the superstep and progress counters, checkpoints, and opens the next
-  /// work slice.
-  void begin_boundary(detail::WorkerState& st);
+  /// The second half every boundary shares — rigid sync() and the split
+  /// pair alike, after Transport::begin_exchange: gives up the compute
+  /// token, completes delivery (after the one barrier, or inside the staged
+  /// exchange), bumps the superstep and progress counters, checkpoints, and
+  /// opens the next work slice.
   void end_boundary(detail::WorkerState& st);
   /// Closes the open superstep: stamps its work_us, moves st.step into
   /// st.trace, and opens a fresh record.
   void seal_step(detail::WorkerState& st);
+  /// Takes the compute token in Serialized mode, then starts the slice's
+  /// CPU clock.
   void begin_work_slice(detail::WorkerState& st);
   void finalize_worker(detail::WorkerState& st);
   /// Keeps `e` as the run's error if it outranks the one held (see the .cpp),
   /// raises the abort flag, and wakes the workers parked in the barrier or
   /// the transport.
   void record_error(std::exception_ptr e, int pid);
-  /// record_error, then wakes the Serialized scheduler's waiters too.
-  void report_error(std::exception_ptr e, int pid);
   /// One execution of `fn` on all workers (one retry attempt). Returns true
   /// on success; on failure the winning error is left in first_error_.
   bool run_attempt(const std::function<void(Worker&)>& fn);
@@ -303,7 +307,9 @@ class Runtime {
   std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<detail::WorkerState>> states_;
   std::unique_ptr<Barrier> barrier_;
-  std::unique_ptr<SerialScheduler> scheduler_;
+  // Serialized mode: held by the one worker whose work slice runs
+  // (detail::WorkerState::compute_token).
+  std::mutex compute_token_;
   std::atomic<bool> abort_{false};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

@@ -73,20 +73,22 @@ struct BspTransportError : std::runtime_error {
 /// its whole lifetime; per-run state is rebuilt by reset_run().
 ///
 /// Every superstep boundary — a rigid sync() or a split-phase
-/// sync_begin()/sync_end() pair — runs the same sequence: begin_exchange(),
-/// an overlap window (empty for sync()) with optional progress() calls, then
-/// finish_exchange(). In Serialized mode flush() replaces begin_exchange()
-/// and one exchange() call replaces every finish_exchange().
+/// sync_begin()/sync_end() pair — runs the same sequence in both scheduling
+/// modes: begin_exchange(), an overlap window (empty for sync()) with
+/// optional progress() calls, then finish_exchange(). Serialized mode only
+/// keeps the workers' compute apart (Runtime's compute token); a worker
+/// holds the token from its slice through begin_exchange() and the window,
+/// and gives it up before finish_exchange().
 ///
 /// Concurrency contract (the seam's locking rules):
-///  * stage_reserve(), flush(), begin_exchange() and progress() are called by
-///    the owning worker's thread only, with `st` being that worker's own
-///    state.
-///  * finish_exchange() in Parallel mode is called concurrently, one call
-///    per worker. For barrier transports (needs_boundary_barriers() == true)
-///    the calls run after the one boundary barrier, when every worker has
-///    sealed the ended superstep's sends — but a worker that already
-///    finished its own delivery may be sending in the next superstep.
+///  * stage_reserve(), begin_exchange() and progress() are called by the
+///    owning worker's thread only, with `st` being that worker's own state.
+///  * finish_exchange() is called concurrently, one call per worker, in
+///    both scheduling modes. For barrier transports
+///    (needs_boundary_barriers() == true) the calls run after the one
+///    boundary barrier, when every worker has sealed the ended superstep's
+///    sends — but a worker that already finished its own delivery may be
+///    sending in the next superstep.
 ///    Sender-side state is therefore kept per superstep parity (the paper's
 ///    Appendix B.1 alternating buffers): implementations may read, without
 ///    locks, the ended superstep's parity of *any* worker's sender-side
@@ -97,9 +99,6 @@ struct BspTransportError : std::runtime_error {
 ///    global quiescent point: every boundary call may touch only st's own
 ///    state and st's endpoints, and must tolerate peers that are still
 ///    computing.
-///  * exchange() is invoked by the SerialScheduler from whichever worker
-///    thread completes the round, with the scheduler lock held — effectively
-///    single-threaded, never concurrent with any other call.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -133,16 +132,12 @@ class Transport {
   virtual std::byte* stage_reserve(detail::WorkerState& st, int dest,
                                    std::size_t n) = 0;
 
-  /// Sender-side boundary hook: seals `st`'s sends (before the barrier, for
-  /// barrier transports). The whole of begin_exchange() for
-  /// transports without incremental progress.
-  virtual void flush(detail::WorkerState& st) = 0;
-
-  /// Seals `st`'s sending side and starts its boundary exchange. After this
-  /// call the worker must not send until the matching finish_exchange()
-  /// (enforced by the runtime); its previous inbox views are invalidated.
-  /// Transports with real overlap (the staged ones) start moving bytes here.
-  virtual void begin_exchange(detail::WorkerState& st) { flush(st); }
+  /// Seals `st`'s sending side (before the barrier, for barrier
+  /// transports) and starts its boundary exchange. After this call the
+  /// worker must not send until the matching finish_exchange() (enforced by
+  /// the runtime); its previous inbox views are invalidated. Transports
+  /// with real overlap (the staged ones) start moving bytes here.
+  virtual void begin_exchange(detail::WorkerState& st) = 0;
 
   /// Opportunistic progress inside the overlap window: moves whatever bytes
   /// are ready without blocking. Returns true when the incoming exchange for
@@ -159,15 +154,6 @@ class Transport {
   /// (Config::collect_stats). For barrier transports the runtime calls
   /// this after the boundary barrier.
   virtual void finish_exchange(detail::WorkerState& st) = 0;
-
-  /// Serialized-mode global exchange: delivers for every worker in one call
-  /// (single-threaded; see the class comment). Finished workers still
-  /// participate as empty senders where the wire protocol requires it. The
-  /// staged transports drive every window with the Parallel boundary's pump
-  /// and idle-wait step (detail::Waiter in core/exchange_engine.hpp, which
-  /// documents the waiting policy). A throw aborts the run with that error.
-  virtual void exchange(
-      const std::vector<std::unique_ptr<detail::WorkerState>>& states) = 0;
 
   /// True when `st` holds staged-but-undeliverable messages — used by the
   /// runtime to diagnose sends after a worker's final sync().
@@ -218,17 +204,6 @@ class TransportBase : public Transport {
   TransportBase(const Config& cfg, SlabPool& pool,
                 const std::atomic<bool>* abort_flag)
       : cfg_(cfg), pool_(&pool), abort_(abort_flag) {}
-
-  /// Default Serialized-mode exchange: finish each unfinished worker's
-  /// boundary in pid order. Transports whose wire protocol involves finished
-  /// workers (the staged ones) override this.
-  void exchange(
-      const std::vector<std::unique_ptr<WorkerState>>& states) override {
-    for (const auto& st : states) {
-      if (st->finished) continue;
-      finish_exchange(*st);
-    }
-  }
 
   void set_fault_injector(FaultInjector* injector) override {
     fault_ = injector;

@@ -38,7 +38,7 @@ std::byte* DeferredTransport::stage_reserve(detail::WorkerState& st, int dest,
   return arena.append(static_cast<std::uint32_t>(st.pid), st.seq_to[d]++, n);
 }
 
-void DeferredTransport::flush(detail::WorkerState& st) {
+void DeferredTransport::begin_exchange(detail::WorkerState& st) {
   // Nothing to move — sends stage straight into the per-destination arenas —
   // but the fault harness hooks the boundary here.
   inject_boundary_fault(FaultSite::Flush, st);

@@ -30,7 +30,7 @@ class DeferredTransport final : public detail::TransportBase {
                      states) override;
   std::byte* stage_reserve(detail::WorkerState& st, int dest,
                            std::size_t n) override;
-  void flush(detail::WorkerState& st) override;
+  void begin_exchange(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& dst) override;
   [[nodiscard]] bool has_unflushed(
       const detail::WorkerState& st) const override;

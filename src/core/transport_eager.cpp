@@ -56,7 +56,7 @@ void EagerTransport::flush_one(detail::WorkerState& st, int dest) {
   dst.inbuf[parity].splice_from(pending);
 }
 
-void EagerTransport::flush(detail::WorkerState& st) {
+void EagerTransport::begin_exchange(detail::WorkerState& st) {
   inject_boundary_fault(FaultSite::Flush, st);
   // Only destinations actually sent to this superstep need flushing — a
   // chunk-boundary flush may already have emptied some of them, which
@@ -75,10 +75,9 @@ void EagerTransport::finish_exchange(detail::WorkerState& dst) {
   dst.inbox_cursor = 0;
   PerWorker& pw = *per_[static_cast<std::size_t>(dst.pid)];
   const std::size_t parity = static_cast<std::size_t>((dst.superstep + 1) % 2);
-  // No lock needed: delivery runs after the boundary barrier (parallel
-  // mode) or under the scheduler lock (serialized mode), when no sender can
-  // be writing this parity — a sender already in the next superstep splices
-  // into the other one.
+  // No lock needed: delivery runs after the boundary barrier, when no
+  // sender can be writing this parity — a sender already in the next
+  // superstep splices into the other one.
   pw.inbox_arena.release_slabs();  // last superstep's views are dead now
   std::swap(pw.inbox_arena, pw.inbuf[parity]);
   dst.inbox.reserve(pw.inbox_arena.message_count());

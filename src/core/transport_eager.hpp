@@ -30,7 +30,7 @@ class EagerTransport final : public detail::TransportBase {
                      states) override;
   std::byte* stage_reserve(detail::WorkerState& st, int dest,
                            std::size_t n) override;
-  void flush(detail::WorkerState& st) override;
+  void begin_exchange(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& dst) override;
   [[nodiscard]] bool has_unflushed(
       const detail::WorkerState& st) const override;
@@ -44,8 +44,8 @@ class EagerTransport final : public detail::TransportBase {
     // Sender-side staging arenas (one per destination) spliced under one
     // lock acquisition per Config::eager_chunk_messages messages.
     std::vector<MessageArena> pending;
-    // Destinations with staged messages, so flush() walks only what was
-    // touched instead of all p staging arenas.
+    // Destinations with staged messages, so begin_exchange() walks only
+    // what was touched instead of all p staging arenas.
     std::vector<char> dirty_flag;
     std::vector<int> dirty;
     // Arena backing this superstep's inbox views; its slabs return to the

@@ -87,8 +87,9 @@ void StagedTransport::publish(detail::WorkerState& dst) {
 void StagedTransport::begin_exchange(detail::WorkerState& st) {
   detail::ExchangeEngine& e = engine_of(st.pid);
   try {
-    // The sender-side Flush hook (this transport's flush() is hook-only),
-    // then the Deliver hook at the top of boundary delivery.
+    // The Flush hook (sends stage straight into per-destination arenas, so
+    // there is nothing else to seal), then the Deliver hook at the top of
+    // boundary delivery.
     inject_boundary_fault(FaultSite::Flush, st);
     inject_boundary_fault(FaultSite::Deliver, st);
     e.begin_window(st);
@@ -112,44 +113,13 @@ bool StagedTransport::progress(detail::WorkerState& st) {
 }
 
 void StagedTransport::finish_exchange(detail::WorkerState& st) {
-  const detail::Window w{&engine_of(st.pid), &st};
   try {
-    detail::ExchangeEngine::finish_windows({&w, 1});
+    engine_of(st.pid).finish_window(st);
   } catch (...) {
     mesh_->mark_dirty();
     throw;
   }
   publish(st);
-}
-
-void StagedTransport::exchange(
-    const std::vector<std::unique_ptr<detail::WorkerState>>& states) {
-  if (!hosts_every_rank_) {
-    // validate_config rejects Serialized scheduling in process mode before a
-    // Runtime exists; this is the defensive backstop, not a reachable path.
-    throw BspTransportError(std::string("the ") + name() +
-                            " transport has no serialized global exchange "
-                            "(one process hosts one rank)");
-  }
-  // One thread drives every rank's window with the Parallel boundary's pump
-  // and wait step, so the same wire protocol runs under the Serialized
-  // scheduler. Finished workers still take part: their peers' schedule
-  // expects a (possibly empty) stage from them on the shared stream.
-  std::vector<detail::Window> windows;
-  windows.reserve(states.size());
-  try {
-    for (const auto& st : states) {
-      inject_boundary_fault(FaultSite::Deliver, *st);
-      detail::ExchangeEngine& e = engine_of(st->pid);
-      e.begin_window(*st);
-      windows.push_back({&e, st.get()});
-    }
-    detail::ExchangeEngine::finish_windows(windows);
-  } catch (...) {
-    mesh_->mark_dirty();
-    throw;
-  }
-  for (const auto& st : states) publish(*st);
 }
 
 bool StagedTransport::has_unflushed(const detail::WorkerState& st) const {

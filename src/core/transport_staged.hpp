@@ -20,11 +20,8 @@
 // This class is the Transport seam glue: it routes sends and boundaries
 // through the right rank's engine, publishes inbox views after each
 // boundary (re-pointing zero-copy frames at the shared slab on ring links),
-// marks the mesh dirty when a worker unwinds mid-stage, and — when the mesh
-// hosts every rank — runs the Serialized-mode exchange: it opens every
-// engine's window and hands them all to the blocking loop a Parallel
-// boundary runs (ExchangeEngine::finish_windows), which round-robins the
-// pumps and waits on the union of their in-flight fds. Wire behaviour is
+// and marks the mesh dirty when a worker unwinds mid-stage. Each worker
+// drives its own window, in both scheduling modes. Wire behaviour is
 // documented with the layer that owns it.
 //
 // Process mode (tcp, shm) differs only in topology: the Runtime hands this
@@ -70,11 +67,6 @@ class StagedTransport final : public detail::TransportBase {
                            std::size_t n) override {
     return engine_of(st.pid).reserve(st, dest, n);
   }
-  void flush(detail::WorkerState& st) override {
-    // Sends stage straight into per-destination arenas; only the fault
-    // harness hooks the boundary here.
-    inject_boundary_fault(FaultSite::Flush, st);
-  }
   // Every boundary is a window: begin_exchange opens it and starts
   // streaming stage 1 out of the staging arenas; progress() pumps both
   // directions non-blocking, advancing through the (p-1)-stage schedule as
@@ -87,8 +79,6 @@ class StagedTransport final : public detail::TransportBase {
   void begin_exchange(detail::WorkerState& st) override;
   bool progress(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& st) override;
-  void exchange(const std::vector<std::unique_ptr<detail::WorkerState>>&
-                    states) override;
   [[nodiscard]] bool has_unflushed(
       const detail::WorkerState& st) const override;
   /// Signals the abort eventfd, waking every parked idle wait.

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <vector>
 
 #include "core/message.hpp"
@@ -48,7 +49,11 @@ struct WorkerState {
 
   std::int64_t work_start_ns = 0;
   std::vector<WorkerStepRecord> trace;
-  bool finished = false;
+
+  // Serialized mode: this worker's hold on the Runtime's compute token,
+  // owned from the start of each work slice to the top of the boundary that
+  // ends it. Never owned in Parallel mode.
+  std::unique_lock<std::mutex> compute_token;
 
   // --- Recovery registration (core/recovery.hpp). Re-populated by the user
   // function on every run attempt; the checkpoint layer snapshots regions in

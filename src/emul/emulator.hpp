@@ -3,8 +3,9 @@
 // The 1996 testbed (SGI Challenge, NEC Cenju, Pentium PC-LAN) is not
 // available, so experiments run in two phases:
 //
-//  1. EXECUTE: the SPMD program runs on P virtual processors under the
-//     runtime's Serialized scheduler — the paper's own work-measurement
+//  1. EXECUTE: the SPMD program runs on P virtual processors in the
+//     runtime's Serialized mode, one compute slice at a time while the
+//     boundaries run as in a parallel run — the paper's own work-measurement
 //     methodology ("simulating the parallel computation on a single
 //     processor", Section 3). This yields the full per-processor,
 //     per-superstep trace: local-computation times, packet counts, and

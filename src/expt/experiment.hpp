@@ -3,8 +3,8 @@
 // numbers alongside.
 //
 // Methodology (DESIGN.md section 2): each (app, size, np) cell is executed
-// once under the serialized scheduler, which yields the machine-independent
-// trace (W, H, S, per-superstep work and communication). The trace is then
+// once in Serialized mode (one compute slice at a time), which yields the
+// machine-independent trace (W, H, S, per-superstep work and communication). The trace is then
 // priced for each of the paper's three platforms. The per-(app, size,
 // machine) cpu_scale comes from calibrating our measured one-processor work
 // against the paper's one-processor time — everything at p > 1 is emergent.

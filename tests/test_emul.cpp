@@ -162,9 +162,9 @@ TEST(Emulator, CalibrationMapsOurWorkToPaperSeconds) {
 }
 
 TEST(Emulator, SerializedExecutionWorkExcludesPeers) {
-  // Under the serialized scheduler each worker's measured work must be its
-  // own compute only, never the time it waited for the baton while its
-  // peers ran. One run, so that host load moves every slice alike: worker k
+  // In Serialized mode each worker's measured work must be its own compute
+  // only, never the time it waited for the compute token while its peers
+  // ran. One run, so that host load moves every slice alike: worker k
   // spins k + 1 slices, so W (the max) is worker 3's 4 slices and the total
   // is 10 of worker 0's. A worker charged with its wait would also carry
   // the slices of the workers ahead of it: worker 3 would read 10.

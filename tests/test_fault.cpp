@@ -255,10 +255,11 @@ INSTANTIATE_TEST_SUITE_P(
     matrix_name);
 
 // ---------------------------------------------------------------------------
-// Serialized mode: one thread runs every rank's boundary inside the
-// scheduler. An error raised by that exchange (here a deliver-site abort on
-// rank 1) is the run's error like any other — run() rethrows it, or retries
-// it under max_run_retries — never a run that returns truncated.
+// Serialized mode: every rank crosses its own boundary, as in Parallel mode,
+// with the compute token given up first. An error raised by that exchange
+// (here a deliver-site abort on rank 1) is the run's error like any other —
+// run() rethrows it, or retries it under max_run_retries — never a run that
+// returns truncated.
 
 class SerializedExchangeFault
     : public ::testing::TestWithParam<DeliveryStrategy> {

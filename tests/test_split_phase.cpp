@@ -311,20 +311,25 @@ TEST(SplitPhaseSocket, ProgressEventuallyReportsDrained) {
 }
 
 TEST(SplitPhaseSocket, OverlapMovesWireBytes) {
-  // The tentpole's observable: with compute in the window, some wire bytes
-  // must move *during* the window (counted separately from the boundary
-  // total), proving the exchange really overlapped the compute.
-  Config cfg = base_config(DeliveryStrategy::Socket);
-  Runtime rt(cfg);
-  RunStats stats;
-  run_ring(rt, Boundary::SplitCompute, &stats);
-  std::uint64_t overlapped = 0;
-  for (const SuperstepStats& s : stats.supersteps) {
-    overlapped += s.total_overlap_wire_bytes;
+  // With compute in the window, some wire bytes must move *during* the
+  // window (counted separately from the boundary total), proving the
+  // exchange really overlapped the compute. A Serialized window opens the
+  // same exchange, so its opportunistic pass moves bytes too.
+  for (auto sched : {Scheduling::Parallel, Scheduling::Serialized}) {
+    Config cfg = base_config(DeliveryStrategy::Socket);
+    cfg.scheduling = sched;
+    Runtime rt(cfg);
+    RunStats stats;
+    run_ring(rt, Boundary::SplitCompute, &stats);
+    std::uint64_t overlapped = 0;
+    for (const SuperstepStats& s : stats.supersteps) {
+      overlapped += s.total_overlap_wire_bytes;
+    }
+    const char* mode = sched == Scheduling::Parallel ? "Parallel" : "Serialized";
+    EXPECT_GT(overlapped, 0u) << mode << ": no wire bytes moved in any window";
+    // Window bytes are a (possibly complete) subset of the boundary totals.
+    EXPECT_GE(stats.total_wire_bytes(), overlapped) << mode;
   }
-  EXPECT_GT(overlapped, 0u) << "no wire bytes moved inside any window";
-  // Window bytes are a (possibly complete) subset of the boundary totals.
-  EXPECT_GE(stats.total_wire_bytes(), overlapped);
 }
 
 // Faults inside the split-phase window: same recovery contract as

@@ -123,8 +123,8 @@ TEST(SocketWireBytes, SectionedStagesUseFewSyscalls) {
 }
 
 TEST(SocketWireBytes, SerializedDriverReportsTheSameWireTraffic) {
-  // The single-threaded serialized driver speaks the identical wire
-  // protocol, so byte-for-byte accounting must match the parallel run.
+  // Serialized boundaries run the Parallel exchange, so byte-for-byte
+  // accounting must match the parallel run.
   auto program = [](Worker& w) {
     const int p = w.nprocs();
     for (int d = 0; d < p; ++d) {
@@ -240,25 +240,24 @@ TEST(SocketFaultInjection, PollSiteFiresInParallelMode) {
 }
 
 TEST(SocketFaultInjection, PollSiteFiresInSerializedMode) {
-  // A Serialized exchange runs on one thread, so no peer can be late:
-  // injected recv EAGAINs hold rank 0's window open instead, until a whole
-  // round of pumps moves nothing. A Serialized wait parks without spinning,
-  // so that first empty round already consults the poll site in the wait
-  // step both scheduling modes share. Two EAGAINs go to begin_window's
-  // opportunistic pass, the third empties the first round. The injected
-  // EINTR must fire and be absorbed.
+  // Serialized boundaries take the Parallel path: the compute token keeps
+  // the two slices apart, so whichever rank reaches the boundary first
+  // waits out the other's 20 ms slice, past its spin, into the park. The
+  // one EINTR at the poll site must fire there and be absorbed.
+  const auto slow_ping = [](Worker& w) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    staged_rows::ping(7)(w);
+  };
   Runtime rt(socket_config(2, Scheduling::Serialized));
-  const RunStats clean = rt.run(staged_rows::ping(7));
-  FaultPlan plan = staged_rows::poll_eintr_on_rank0();
-  FaultRule eagain;
-  eagain.site = FaultSite::RecvCall;
-  eagain.kind = FaultKind::Eagain;
-  eagain.rank = 0;
-  eagain.count = 4;
-  plan.rules.push_back(eagain);
+  const RunStats clean = rt.run(slow_ping);
+  FaultRule eintr;
+  eintr.site = FaultSite::PollCall;
+  eintr.kind = FaultKind::Eintr;
+  FaultPlan plan;
+  plan.rules = {eintr};
   rt.set_fault_plan(plan);
-  const RunStats faulted = rt.run(staged_rows::ping(7));
-  EXPECT_EQ(rt.fault_injector()->fired(), eagain.count + 1)
+  const RunStats faulted = rt.run(slow_ping);
+  EXPECT_EQ(rt.fault_injector()->fired(), 1u)
       << "the Serialized wait never reached the poll site";
   EXPECT_EQ(faulted.recoveries, 0u);
   EXPECT_EQ(faulted.total_wire_bytes(), clean.total_wire_bytes());
