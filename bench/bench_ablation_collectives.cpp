@@ -33,10 +33,10 @@ namespace {
 
 using namespace gbsp;
 
-std::function<void(Worker&)> bcaster(CollectiveAlgorithm alg, int reps) {
-  return [alg, reps](Worker& w) {
+std::function<void(Worker&)> bcaster(CollectiveSchedule schedule, int reps) {
+  return [schedule, reps](Worker& w) {
     for (int r = 0; r < reps; ++r) {
-      const double v = broadcast(w, 0, 3.14, alg);
+      const double v = broadcast(w, 0, 3.14, schedule);
       if (v != 3.14) throw std::logic_error("broadcast ablation: bad value");
     }
   };
@@ -144,11 +144,12 @@ int main(int argc, char** argv) {
                  "per operation ==\n";
     TextTable t({"nprocs", "alg", "S/op", "h/op", "SGI", "Cenju", "PC"});
     for (int p : {4, 8, 16}) {
-      for (auto alg :
-           {CollectiveAlgorithm::Direct, CollectiveAlgorithm::Tree}) {
-        const RunStats trace = execute_traced(p, bcaster(alg, kBcastReps));
+      for (auto schedule :
+           {CollectiveSchedule::Direct, CollectiveSchedule::Tree}) {
+        const RunStats trace =
+            execute_traced(p, bcaster(schedule, kBcastReps));
         t.row().add(std::int64_t{p}).add(
-            alg == CollectiveAlgorithm::Direct ? "direct" : "tree");
+            schedule == CollectiveSchedule::Direct ? "direct" : "tree");
         t.add(static_cast<std::int64_t>((trace.S() - 1) / kBcastReps));
         t.add(static_cast<std::int64_t>(trace.H() / kBcastReps));
         for (const auto& machine : emulated_machines()) {

@@ -91,9 +91,9 @@ std::function<void(Worker&)> make_cannon_program(const Matrix& A,
 /// Broadcast-layout Cannon: only rank 0's A and B values are read; every
 /// other rank receives its operand replica up front through the bulk
 /// collective broadcast_span (core/collectives.hpp — one combined message
-/// per destination, Direct vs Tree picked by the (g, L) selector, or forced
-/// by Config::collective_schedule). This is the distribution Cannon needs on
-/// a cross-process mesh, where there is no shared input matrix to read.
+/// per destination, Direct vs Tree picked by the (g, L) selector). This is
+/// the distribution Cannon needs on a cross-process mesh, where there is no
+/// shared input matrix to read.
 /// After the two broadcasts the identical Cannon body runs on the identical
 /// operands, so C is bit-identical to make_cannon_program's.
 std::function<void(Worker&)> make_cannon_broadcast_program(

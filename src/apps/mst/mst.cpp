@@ -519,7 +519,7 @@ std::function<void(Worker&)> make_mst_program(const GraphPartition& part,
       // statistic the tests pin down).
       // broadcast_span itself proves delivery on every non-root rank (a
       // missing or short message throws), replacing the manual null check.
-      broadcast_span(w, 0, &fin, 1, CollectiveAlgorithm::Direct);
+      broadcast_span(w, 0, &fin, 1, CollectiveSchedule::Direct);
     }
   };
 }

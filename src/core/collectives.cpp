@@ -1,6 +1,7 @@
 // Non-template half of the collectives layer: the shared inbox-contract
-// diagnostic and the schedule selector (cost models + measured per-transport
-// g/L defaults). See collectives.hpp and DESIGN.md section 13.
+// diagnostic, the one-message-per-source drain, the Direct/Tree schedule
+// rule, and the schedule selector (cost models + measured per-transport g/L
+// defaults). See collectives.hpp and DESIGN.md section 13.
 #include "core/collectives.hpp"
 
 #include <cmath>
@@ -19,23 +20,42 @@ void require_clean_inbox(Worker& w, const char* what) {
   }
 }
 
-CollectiveAlgorithm choose_rooted_algorithm(const Config& cfg, int p,
-                                            std::size_t bytes) {
-  switch (cfg.collective_schedule) {
+CollectiveSchedule rooted_schedule(const Worker& w, CollectiveSchedule s,
+                                   std::size_t bytes) {
+  switch (s) {
     case CollectiveSchedule::Direct:
-      return CollectiveAlgorithm::Direct;
     case CollectiveSchedule::Tree:
-      return CollectiveAlgorithm::Tree;
+      return s;
+    case CollectiveSchedule::TwoPhase:
+      throw std::invalid_argument(
+          "gbsp: CollectiveSchedule::TwoPhase routes alltoallv only; this "
+          "collective takes Direct, Tree or Auto");
     case CollectiveSchedule::Auto:
-    case CollectiveSchedule::TwoPhase:  // not a rooted schedule: defer to cost
       break;
   }
-  const ScheduleChoice c = evaluate_rooted_schedule(
-      p, bytes, default_collective_g_us(cfg.delivery, cfg.nprocs),
-      default_collective_l_us(cfg.delivery, cfg.nprocs),
-      cfg.packet_unit_bytes);
-  return c.schedule == CollectiveSchedule::Tree ? CollectiveAlgorithm::Tree
-                                                : CollectiveAlgorithm::Direct;
+  const Config& cfg = w.config();
+  return evaluate_rooted_schedule(
+             w.nprocs(), bytes,
+             default_collective_g_us(cfg.delivery, cfg.nprocs),
+             default_collective_l_us(cfg.delivery, cfg.nprocs), kPacketBytes)
+      .schedule;
+}
+
+std::vector<ByteView> one_per_source(Worker& w, ByteView self,
+                                     const char* what) {
+  const std::size_t p = static_cast<std::size_t>(w.nprocs());
+  std::vector<ByteView> from(p);
+  std::vector<char> seen(p, 0);
+  from[static_cast<std::size_t>(w.pid())] = self;
+  seen[static_cast<std::size_t>(w.pid())] = 1;
+  while (const Message* m = w.get_message()) {
+    from[m->source] = m->payload;
+    seen[m->source] = 1;
+  }
+  if (std::find(seen.begin(), seen.end(), 0) != seen.end()) {
+    throw std::logic_error(std::string(what) + ": missing contribution");
+  }
+  return from;
 }
 
 }  // namespace detail
@@ -95,10 +115,6 @@ double default_collective_l_us(DeliveryStrategy d, int nprocs) {
 
 namespace {
 
-std::uint64_t pkts(std::uint64_t bytes, std::size_t unit) {
-  return packets_for_bytes(bytes, unit);
-}
-
 /// Staged-exchange cost of a packet matrix, in packet-times: the socket
 /// boundary runs p-1 simultaneous shift rounds, and round k lasts as long as
 /// its largest pairwise transfer max_i M[i][(i+k) mod p] — the same law the
@@ -145,7 +161,7 @@ ScheduleChoice evaluate_rooted_schedule(int p, std::size_t bytes, double g_us,
     c.tree_us = 0.0;
     return c;
   }
-  const double m = static_cast<double>(pkts(bytes, packet_unit));
+  const double m = static_cast<double>(packets_for_bytes(bytes, packet_unit));
   int rounds = 0;
   for (int reach = 1; reach < p; reach *= 2) ++rounds;
   c.direct_us = l_us + g_us * m * static_cast<double>(p - 1);
@@ -178,7 +194,7 @@ ScheduleChoice evaluate_alltoallv_schedule(
   for (std::size_t i = 0; i < sp; ++i) {
     for (std::size_t j = 0; j < sp; ++j) {
       if (i != j && bytes[i][j] != 0) {
-        direct[i][j] = pkts(bytes[i][j], packet_unit);
+        direct[i][j] = packets_for_bytes(bytes[i][j], packet_unit);
       }
     }
   }
@@ -222,7 +238,7 @@ ScheduleChoice evaluate_alltoallv_schedule(
   for (auto* m : {&phase1, &phase2}) {
     for (auto& row : *m) {
       for (auto& cell : row) {
-        if (cell != 0) cell = pkts(cell, packet_unit);
+        if (cell != 0) cell = packets_for_bytes(cell, packet_unit);
       }
     }
   }

@@ -57,24 +57,6 @@ enum class DeliveryStrategy {
   Shm,
 };
 
-/// Which schedule the collectives layer (core/collectives.hpp) uses for an
-/// h-relation. Auto lets the selector pick per call from the request's
-/// actual traffic matrix and the transport's measured g/L; the other values
-/// force one schedule everywhere (ablation and tests).
-enum class CollectiveSchedule {
-  /// Cost-model choice per call (the default).
-  Auto,
-  /// One superstep, every source sends straight to its destinations.
-  Direct,
-  /// Binomial/butterfly trees: ceil(log2 p) supersteps of h = m each
-  /// (rooted collectives only; alltoallv treats Tree as Direct).
-  Tree,
-  /// Valiant-style two-phase gather–scatter routing for skewed alltoallv:
-  /// slice every source->dest block over p intermediates, regroup, deliver —
-  /// two balanced ~h/p phases instead of one hot-spot phase.
-  TwoPhase,
-};
-
 struct Config {
   int nprocs = 1;
   Scheduling scheduling = Scheduling::Parallel;
@@ -84,9 +66,6 @@ struct Config {
   /// returns packets "in any arbitrary order"; tests use this for
   /// reproducibility.
   bool deterministic_delivery = false;
-
-  /// h-relation accounting unit. The paper uses 16-byte packets throughout.
-  std::size_t packet_unit_bytes = 16;
 
   /// Record per-superstep work/communication statistics (w_i, h_i, S).
   bool collect_stats = true;
@@ -154,12 +133,6 @@ struct Config {
   /// to inline ring delivery. 0 disables zero-copy entirely.
   std::size_t shm_slab_bytes = std::size_t{1} << 23;  // 8 MiB
 
-  /// Collectives layer (core/collectives.hpp): schedule override. Auto picks
-  /// Direct / Tree / TwoPhase per call from the h-relation and the
-  /// transport's g/L (default_collective_{g,l}_us); any other value forces
-  /// that schedule.
-  CollectiveSchedule collective_schedule = CollectiveSchedule::Auto;
-
   /// Superstep checkpointing (core/recovery.hpp): 0 disables; N snapshots
   /// every worker's recovery state (registered regions, the save callback's
   /// bytes, the just-delivered inbox, sequence counters) at the top of every
@@ -205,9 +178,6 @@ inline void validate_config(const Config& cfg) {
   if (cfg.nprocs < 1) {
     throw std::invalid_argument("gbsp: nprocs must be >= 1, got " +
                                 std::to_string(cfg.nprocs));
-  }
-  if (cfg.packet_unit_bytes == 0) {
-    throw std::invalid_argument("gbsp: packet_unit_bytes must be >= 1");
   }
   if (cfg.eager_chunk_messages == 0) {
     throw std::invalid_argument(

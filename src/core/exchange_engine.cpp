@@ -87,13 +87,6 @@ void ExchangeEngine::reset_for_reuse() {
   zc_in_.clear();
 }
 
-bool ExchangeEngine::has_unflushed() const {
-  for (const MessageArena& a : outbox_) {
-    if (!a.empty()) return true;
-  }
-  return false;
-}
-
 std::byte* ExchangeEngine::reserve(WorkerState& st, int dest, std::size_t n) {
   if (n > kMaxFrameBytes) {
     // Reject at the send call, where the application can see a clean error,
@@ -208,10 +201,8 @@ void ExchangeEngine::apply_zc_views(WorkerState& dst,
     if (cfg_->collect_stats) {
       // append_views charged the 16 descriptor bytes; swap that for the
       // payload's true h-relation contribution.
-      recv_packets +=
-          packets_for_bytes(static_cast<std::size_t>(desc.len),
-                            cfg_->packet_unit_bytes) -
-          packets_for_bytes(sizeof(ShmZcDesc), cfg_->packet_unit_bytes);
+      recv_packets += packets_for_bytes(static_cast<std::size_t>(desc.len)) -
+                      packets_for_bytes(sizeof(ShmZcDesc));
     }
   }
   zc_in_.clear();

@@ -217,7 +217,6 @@ class ExchangeEngine {
   /// then every received stage in schedule order.
   [[nodiscard]] const MessageArena& self_arena() const { return self_arena_; }
   [[nodiscard]] const MessageArena& inbox_arena() const { return inbox_arena_; }
-  [[nodiscard]] bool has_unflushed() const;
 
   /// Stages an n-byte frame for `dest` and returns its writable payload
   /// slot. Rejects frames above kMaxFrameBytes at the send call, where the

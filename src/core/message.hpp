@@ -74,9 +74,13 @@ struct Message {
   }
 };
 
-/// Number of fixed-size packets a message of `bytes` occupies (>= 1).
+/// The h-relation accounting unit: the paper counts 16-byte packets
+/// throughout.
+inline constexpr std::size_t kPacketBytes = 16;
+
+/// Number of `packet_unit`-byte packets a message of `bytes` occupies (>= 1).
 inline std::uint64_t packets_for_bytes(std::size_t bytes,
-                                       std::size_t packet_unit) {
+                                       std::size_t packet_unit = kPacketBytes) {
   if (packet_unit == 0) return 1;
   // Fast path: the paper's fine-grained applications send single-packet
   // messages, which must not pay a hardware division on every send.

@@ -49,7 +49,7 @@ std::byte* Worker::stage(int dest, std::size_t n, const char* what) {
   }
   std::byte* slot = rt_->transport_->stage_reserve(st, dest, n);
 
-  const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
+  const std::uint64_t pkts = packets_for_bytes(n);
   st.step.sent_packets += pkts;
   st.step.sent_bytes += n;
   st.step.sent_messages += 1;
@@ -239,7 +239,7 @@ void Runtime::finalize_worker(detail::WorkerState& st) {
         " returned from the SPMD function inside a split-phase window "
         "(missing sync_end())");
   }
-  if (st.step.sent_messages != 0 || transport_->has_unflushed(st)) {
+  if (st.step.sent_messages != 0) {
     throw std::logic_error(
         "gbsp: worker " + std::to_string(st.pid) +
         " sent messages after its final sync(); they can never be delivered");

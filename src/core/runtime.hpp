@@ -20,12 +20,11 @@
 //    worker exit. A sync_begin()/sync_end() pair is one boundary — it
 //    counts as one sync().
 //  * On deferred and eager a worker may return while its peers keep
-//    syncing: it leaves the barrier as it returns. Nothing sent to it after
-//    that is delivered, and deferred may report such a send at the sender's
-//    exit as one after the sender's final sync(). On the staged transports
-//    (socket, tcp, shm) every worker must call sync() the same number of
-//    times: a peer's next stage waits for the returned worker and fails
-//    after Config::socket_stage_timeout_ms.
+//    syncing: it leaves the barrier as it returns. A message sent to it
+//    after that is never delivered and is not reported. On the staged
+//    transports (socket, tcp, shm) every worker must call sync() the same
+//    number of times: a peer's next stage waits for the returned worker and
+//    fails after Config::socket_stage_timeout_ms.
 //
 // Layering: the Runtime owns worker lifecycle, scheduling, the superstep
 // barrier, and instrumentation. All message movement — staging, boundary

@@ -176,8 +176,7 @@ void TransportBase::append_views(WorkerState& dst, const MessageArena& arena,
     m.payload = ByteView{f.payload(), static_cast<std::size_t>(f.len)};
     dst.inbox.push_back(m);
     if (count) {
-      recv_packets += packets_for_bytes(static_cast<std::size_t>(f.len),
-                                        cfg_.packet_unit_bytes);
+      recv_packets += packets_for_bytes(static_cast<std::size_t>(f.len));
     }
   });
 }

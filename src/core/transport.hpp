@@ -155,11 +155,6 @@ class Transport {
   /// this after the boundary barrier.
   virtual void finish_exchange(detail::WorkerState& st) = 0;
 
-  /// True when `st` holds staged-but-undeliverable messages — used by the
-  /// runtime to diagnose sends after a worker's final sync().
-  [[nodiscard]] virtual bool has_unflushed(
-      const detail::WorkerState& st) const = 0;
-
   /// Installs (or clears, with nullptr) the fault-injection harness. The
   /// injector must outlive the transport's use of it; null means no faults
   /// (the production fast path: one pointer check per injection point).

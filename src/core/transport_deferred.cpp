@@ -70,14 +70,4 @@ void DeferredTransport::finish_exchange(detail::WorkerState& dst) {
   finish_delivery(dst, recv_packets, /*sort_deterministic=*/false);
 }
 
-bool DeferredTransport::has_unflushed(const detail::WorkerState& st) const {
-  // Only the current parity: the other one belongs to receivers that may
-  // still be delivering the superstep before.
-  const PerWorker& pw = per_[static_cast<std::size_t>(st.pid)];
-  for (const MessageArena& a : pw.outbox[parity(st)]) {
-    if (!a.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace gbsp

@@ -32,8 +32,6 @@ class DeferredTransport final : public detail::TransportBase {
                            std::size_t n) override;
   void begin_exchange(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& dst) override;
-  [[nodiscard]] bool has_unflushed(
-      const detail::WorkerState& st) const override;
 
  private:
   struct PerWorker {

@@ -86,12 +86,4 @@ void EagerTransport::finish_exchange(detail::WorkerState& dst) {
   finish_delivery(dst, recv_packets, cfg_.deterministic_delivery);
 }
 
-bool EagerTransport::has_unflushed(const detail::WorkerState& st) const {
-  const PerWorker& pw = *per_[static_cast<std::size_t>(st.pid)];
-  for (const MessageArena& a : pw.pending) {
-    if (!a.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace gbsp

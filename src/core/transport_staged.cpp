@@ -122,8 +122,4 @@ void StagedTransport::finish_exchange(detail::WorkerState& st) {
   publish(st);
 }
 
-bool StagedTransport::has_unflushed(const detail::WorkerState& st) const {
-  return !eng_.empty() && engine_of(st.pid).has_unflushed();
-}
-
 }  // namespace gbsp

@@ -79,8 +79,6 @@ class StagedTransport final : public detail::TransportBase {
   void begin_exchange(detail::WorkerState& st) override;
   bool progress(detail::WorkerState& st) override;
   void finish_exchange(detail::WorkerState& st) override;
-  [[nodiscard]] bool has_unflushed(
-      const detail::WorkerState& st) const override;
   /// Signals the abort eventfd, waking every parked idle wait.
   void wake_on_abort() override;
 

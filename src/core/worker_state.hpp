@@ -25,8 +25,10 @@ namespace gbsp {
 namespace detail {
 
 /// All transport-agnostic mutable per-processor state. Owned by the Runtime;
-/// a Worker is a lightweight handle over one WorkerState.
-struct WorkerState {
+/// a Worker is a lightweight handle over one WorkerState. Every send reads
+/// and writes it, so it is cache-line aligned: no peer's hot state can share
+/// its lines, whatever the heap layout.
+struct alignas(64) WorkerState {
   int pid = 0;
 
   std::vector<std::uint32_t> seq_to;  // per-destination sequence counters

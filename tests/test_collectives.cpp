@@ -15,14 +15,17 @@
 namespace gbsp {
 namespace {
 
+// The schedule axis, kept test-local so every instance keeps its parameter
+// bytes (Direct = 0, Tree = 1) in its ctest name.
+enum class Alg { Direct, Tree };
+
 struct CollParam {
   int nprocs;
-  CollectiveAlgorithm alg;
+  Alg alg;
 };
 
 std::string coll_name(const testing::TestParamInfo<CollParam>& info) {
-  return std::string(info.param.alg == CollectiveAlgorithm::Direct ? "Direct"
-                                                                   : "Tree") +
+  return std::string(info.param.alg == Alg::Direct ? "Direct" : "Tree") +
          "P" + std::to_string(info.param.nprocs);
 }
 
@@ -33,7 +36,10 @@ class Collectives : public testing::TestWithParam<CollParam> {
     cfg.nprocs = GetParam().nprocs;
     return Runtime(cfg).run(fn);
   }
-  [[nodiscard]] CollectiveAlgorithm alg() const { return GetParam().alg; }
+  [[nodiscard]] CollectiveSchedule alg() const {
+    return GetParam().alg == Alg::Direct ? CollectiveSchedule::Direct
+                                         : CollectiveSchedule::Tree;
+  }
   [[nodiscard]] int p() const { return GetParam().nprocs; }
 };
 
@@ -113,15 +119,15 @@ TEST_P(Collectives, AllgatherEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Collectives,
     testing::ValuesIn(std::vector<CollParam>{
-        {1, CollectiveAlgorithm::Direct},
-        {2, CollectiveAlgorithm::Direct},
-        {5, CollectiveAlgorithm::Direct},
-        {8, CollectiveAlgorithm::Direct},
-        {1, CollectiveAlgorithm::Tree},
-        {2, CollectiveAlgorithm::Tree},
-        {3, CollectiveAlgorithm::Tree},
-        {5, CollectiveAlgorithm::Tree},
-        {8, CollectiveAlgorithm::Tree},
+        {1, Alg::Direct},
+        {2, Alg::Direct},
+        {5, Alg::Direct},
+        {8, Alg::Direct},
+        {1, Alg::Tree},
+        {2, Alg::Tree},
+        {3, Alg::Tree},
+        {5, Alg::Tree},
+        {8, Alg::Tree},
     }),
     coll_name);
 
@@ -220,28 +226,67 @@ TEST(CollectivesExtra, DirtyInboxIsDiagnosed) {
 }
 
 TEST(CollectivesExtra, SuperstepCostsMatchTheAdvertisedTradeoff) {
-  // Direct broadcast: 1 superstep, h = p-1. Tree: ceil(log2 p) supersteps,
-  // h = 1 per step. This is the BSP h-vs-S trade-off the paper discusses.
+  // Direct: one superstep, h up to p-1. Tree: log2(p) supersteps, h = 1 per
+  // step. This is the BSP h-vs-S trade-off the paper discusses. Each row
+  // pins S and every superstep's h at p = 8 (a receive is charged to the
+  // superstep it is delivered in, so the tail carries the last one): a
+  // one-value collective routed through its block twin must not move a
+  // message.
+  using Steps = std::vector<std::uint64_t>;
+  auto h_per_step = [](const std::function<void(Worker&)>& fn) {
+    Config cfg;
+    cfg.nprocs = 8;
+    Runtime rt(cfg);
+    const RunStats s = rt.run(fn);
+    Steps h;  // one entry per superstep: h.size() is S
+    for (const auto& step : s.supersteps) h.push_back(step.h_packets);
+    return h;
+  };
+  const std::plus<double> plus;
+  for (const auto alg :
+       {CollectiveSchedule::Direct, CollectiveSchedule::Tree}) {
+    const bool direct = alg == CollectiveSchedule::Direct;
+    const Steps tree{1, 1, 1, 1};  // log2(8) syncs + tail
+    EXPECT_EQ(h_per_step([&](Worker& w) { broadcast(w, 0, 1.25, alg); }),
+              direct ? Steps({7, 1}) : tree);
+    EXPECT_EQ(h_per_step([&](Worker& w) { reduce(w, 0, 1.25, plus, alg); }),
+              direct ? Steps({1, 7}) : tree);
+    // Direct allreduce is reduce onto 0, then broadcast: two syncs + tail.
+    EXPECT_EQ(h_per_step([&](Worker& w) { allreduce(w, 1.25, plus, alg); }),
+              direct ? Steps({1, 7, 1}) : tree);
+  }
+  EXPECT_EQ(h_per_step([](Worker& w) { gather(w, 0, 1.25); }), Steps({1, 7}));
+  EXPECT_EQ(h_per_step([](Worker& w) { allgather(w, 1.25); }), Steps({7, 7}));
+}
+
+TEST(CollectivesExtra, RootedAutoRunsTheSelectorsChoice) {
+  // Auto resolves per call through evaluate_rooted_schedule under the
+  // transport's default g/L: a one-packet broadcast stays Direct, a 32 KiB
+  // block goes Tree on the in-memory transport at p = 8. TwoPhase is an
+  // alltoallv route and is rejected.
   Config cfg;
   cfg.nprocs = 8;
-  {
+  for (const std::size_t count : {std::size_t{1}, std::size_t{4096}}) {
+    const ScheduleChoice c = evaluate_rooted_schedule(
+        cfg.nprocs, count * sizeof(double),
+        default_collective_g_us(cfg.delivery, cfg.nprocs),
+        default_collective_l_us(cfg.delivery, cfg.nprocs), kPacketBytes);
+    EXPECT_EQ(c.schedule, count == 1 ? CollectiveSchedule::Direct
+                                     : CollectiveSchedule::Tree);
     Runtime rt(cfg);
-    RunStats s = rt.run([](Worker& w) {
-      broadcast(w, 0, 1.25, CollectiveAlgorithm::Direct);
+    const RunStats s = rt.run([count](Worker& w) {
+      std::vector<double> block(count, w.pid() == 0 ? 2.5 : 0.0);
+      broadcast_span(w, 0, block, CollectiveSchedule::Auto);
+      EXPECT_EQ(block.back(), 2.5);
     });
-    EXPECT_EQ(s.S(), 2u);  // one sync + tail
-    EXPECT_EQ(s.supersteps[0].h_packets, 7u);
+    EXPECT_EQ(s.S(), c.schedule == CollectiveSchedule::Tree ? 4u : 2u)
+        << count << " elements";
   }
-  {
-    Runtime rt(cfg);
-    RunStats s = rt.run([](Worker& w) {
-      broadcast(w, 0, 1.25, CollectiveAlgorithm::Tree);
-    });
-    EXPECT_EQ(s.S(), 4u);  // log2(8) syncs + tail
-    for (std::size_t i = 0; i + 1 < s.S(); ++i) {
-      EXPECT_LE(s.supersteps[i].h_packets, 1u);
-    }
-  }
+  const auto two_phase = [](Worker& w) {
+    broadcast(w, 0, 1.25, CollectiveSchedule::TwoPhase);
+  };
+  Runtime rt(cfg);
+  EXPECT_THROW(rt.run(two_phase), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ bulk (v2)
@@ -282,7 +327,7 @@ TEST(CollectivesExtra, AllreduceSpanBitIdenticalAcrossRanksForDoubles) {
   // The Direct fold runs strictly in pid order on every rank, so even
   // non-associative floating-point addition yields one answer everywhere.
   for (const auto alg :
-       {CollectiveAlgorithm::Direct, CollectiveAlgorithm::Tree}) {
+       {CollectiveSchedule::Direct, CollectiveSchedule::Tree}) {
     Config cfg;
     cfg.nprocs = 8;
     Runtime rt(cfg);
@@ -463,17 +508,6 @@ TEST(CollectivesExtra, AlltoallvScheduleSuperstepCounts) {
   EXPECT_EQ(steps(CollectiveSchedule::TwoPhase), 3u);  // 2 boundaries + tail
   // Uniform traffic on an in-memory transport: Auto must pick Direct.
   EXPECT_EQ(steps(CollectiveSchedule::Auto), 3u);  // counts + direct + tail
-}
-
-TEST(CollectivesExtra, ConfigScheduleOverrideAppliesToAutoCalls) {
-  Config cfg;
-  cfg.nprocs = 4;
-  cfg.collective_schedule = CollectiveSchedule::TwoPhase;
-  Runtime rt(cfg);
-  const RunStats s = rt.run([](Worker& w) {
-    alltoallv(w, make_traffic(w.pid(), w.nprocs(), 1));
-  });
-  EXPECT_EQ(s.S(), 3u);  // the override forces the two-boundary route
 }
 
 TEST(CollectivesExtra, SelectorPrefersTwoPhaseForOneHotOnStagedTransport) {

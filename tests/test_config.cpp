@@ -31,12 +31,6 @@ TEST(ConfigValidation, RejectsNonPositiveNprocs) {
   }
 }
 
-TEST(ConfigValidation, RejectsZeroPacketUnit) {
-  Config cfg = valid_base();
-  cfg.packet_unit_bytes = 0;
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-}
-
 TEST(ConfigValidation, RejectsZeroEagerChunk) {
   // A zero chunk would never trigger a chunk-boundary flush.
   Config cfg = valid_base();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/matmul/matmul.hpp"
+#include "core/collectives.hpp"
 #include "core/runtime.hpp"
 
 namespace gbsp {
@@ -235,19 +236,31 @@ TEST(Cannon, BroadcastLayoutBitIdentical) {
 }
 
 TEST(Cannon, BroadcastLayoutBitIdenticalUnderForcedTree) {
-  // Forcing the tree schedule reroutes the operand broadcast through
-  // relays; the delivered bytes — and therefore C — must not change.
+  // The tree schedule reroutes the operand broadcast through relays; the
+  // delivered bytes — and therefore C — must not change. Only rank 0's
+  // copies of A and B are filled before the broadcasts.
   const int n = 24;
+  const int p = 9;
   Matrix A = random_matrix(n, 43), B = random_matrix(n, 44);
-  Matrix shared_c(n), bcast_c(n);
+  Matrix shared_c(n), tree_c(n);
   Config cfg;
-  cfg.nprocs = 9;
+  cfg.nprocs = p;
   Runtime rt(cfg);
-  rt.run(make_cannon_program(A, B, &shared_c));
-  cfg.collective_schedule = CollectiveSchedule::Tree;
-  Runtime tree_rt(cfg);
-  tree_rt.run(make_cannon_broadcast_program(A, B, &bcast_c));
-  EXPECT_DOUBLE_EQ(shared_c.max_abs_diff(bcast_c), 0.0);
+  const RunStats shared = rt.run(make_cannon_program(A, B, &shared_c));
+  std::vector<Matrix> a_copy(p, Matrix(n)), b_copy(p, Matrix(n));
+  a_copy[0] = A;
+  b_copy[0] = B;
+  const std::size_t total = static_cast<std::size_t>(n) * n;
+  const RunStats tree = rt.run([&](Worker& w) {
+    Matrix& a = a_copy[static_cast<std::size_t>(w.pid())];
+    Matrix& b = b_copy[static_cast<std::size_t>(w.pid())];
+    broadcast_span(w, 0, a.data(), total, CollectiveSchedule::Tree);
+    broadcast_span(w, 0, b.data(), total, CollectiveSchedule::Tree);
+    make_cannon_program(a, b, &tree_c)(w);
+  });
+  EXPECT_DOUBLE_EQ(shared_c.max_abs_diff(tree_c), 0.0);
+  // Two tree broadcasts of ceil(log2 9) = 4 boundaries each.
+  EXPECT_EQ(tree.S(), shared.S() + 8);
 }
 
 TEST(Cannon, BroadcastLayoutBitIdenticalOverSocketSplitPhase) {

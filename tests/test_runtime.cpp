@@ -619,13 +619,6 @@ TEST(Runtime, RejectsNonPositiveProcs) {
   EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
 }
 
-TEST(Runtime, RejectsZeroPacketUnit) {
-  Config cfg;
-  cfg.nprocs = 1;
-  cfg.packet_unit_bytes = 0;
-  EXPECT_THROW(Runtime rt(cfg), std::invalid_argument);
-}
-
 TEST(Runtime, RunBspConvenienceWrapper) {
   RunStats stats = run_bsp(3, [](Worker& w) {
     EXPECT_EQ(w.nprocs(), 3);
@@ -741,8 +734,7 @@ TEST(Runtime, UnequalSyncCountsAreToleratedInSerializedMode) {
 TEST(Runtime, UnequalSyncCountsAreToleratedInParallelMode) {
   // The same early return on concurrent workers. Each worker messages only
   // itself: a message to a worker that already returned is never delivered
-  // (deferred then reports it at the sender's exit as sent after its final
-  // sync(), or not at all, depending on the superstep's parity).
+  // and is not reported (SendToReturnedWorkerIsDroppedSilently).
   for (auto del : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager}) {
     Config cfg;
     cfg.nprocs = 3;
@@ -762,6 +754,31 @@ TEST(Runtime, UnequalSyncCountsAreToleratedInParallelMode) {
       }
     });
     EXPECT_EQ(stats.S(), 4u) << to_string(del);
+  }
+}
+
+TEST(Runtime, SendToReturnedWorkerIsDroppedSilently) {
+  // Worker 0 returns after one sync; worker 1 sends to it in superstep k and
+  // syncs three times. The message is never delivered and is no error: in
+  // particular it is not mistaken for a send after worker 1's final sync(),
+  // whatever the superstep's parity.
+  for (auto del : {DeliveryStrategy::Deferred, DeliveryStrategy::Eager}) {
+    for (const std::uint64_t k : {1u, 2u}) {
+      Config cfg;
+      cfg.nprocs = 2;
+      cfg.delivery = del;
+      cfg.superstep_deadline_ms = 2000;
+      Runtime rt(cfg);
+      RunStats stats;
+      ASSERT_NO_THROW(stats = rt.run([k](Worker& w) {
+        const int syncs = w.pid() == 0 ? 1 : 3;
+        for (int i = 0; i < syncs; ++i) {
+          if (w.pid() == 1 && w.superstep() == k) w.send(0, 7);
+          w.sync();
+        }
+      })) << to_string(del) << " k=" << k;
+      EXPECT_EQ(stats.S(), 4u) << to_string(del) << " k=" << k;
+    }
   }
 }
 
